@@ -1,38 +1,26 @@
 //! Perf — the reproducible pipeline benchmark behind
 //! `BENCH_pipeline.json`.
 //!
-//! Three measurement modes (select with
-//! `--mode pipeline|segmentation|tracking|all`, default `all`):
+//! Two measurement modes (select with
+//! `--mode pipeline|segmentation|all`, default `all`):
 //!
 //! **pipeline** times the three expensive layers on the standard
 //! 20-frame synthetic clip (320×240, default scene, seed 5):
 //!
 //! * **segmentation** — `SegmentPipeline::run_prepared` alone: every
-//!   configuration reuses one background estimate + HSV cache per
-//!   config, the way the streaming analyzer does (the shared
-//!   estimation cost is reported separately as `background_ms`);
+//!   configuration reuses one background estimate + HSV cache, the way
+//!   the streaming analyzer does (the shared estimation cost is
+//!   reported separately as `background_ms`);
 //! * **tracking** — `TemporalTracker::track` alone, on pre-segmented
 //!   silhouettes;
 //! * **analyze** — the full `JumpAnalyzer::analyze` (background +
 //!   segmentation + tracking + scoring).
 //!
-//! Each layer is measured under six configurations spanning the three
-//! optimisation axes this workspace exposes:
-//!
-//! * `baseline-serial` — one thread, Eq. 3 branch-and-bound pruning
-//!   *off*, fitness memo *off*: the reference an optimised run is
-//!   compared against;
-//! * `serial-pruned` — pruning on, memo off;
-//! * `serial-optimised` — pruning + memo, still one thread, scalar
-//!   Eq. 3 kernel (the pre-lanes live reference kept for continuity
-//!   with schema 2);
-//! * `parallel-optimised` — pruning + memo + N worker threads
-//!   (`--threads`, default 4, clamped to the host's
-//!   `available_parallelism`), scalar kernel;
-//! * `lanes-serial` — pruning + memo + the lane-parallel SoA Eq. 3
-//!   kernel with batched population evaluation, one thread;
-//! * `lanes-parallel` — the lane kernel plus worker threads: the
-//!   headline configuration the speedups are quoted against.
+//! Each layer runs the production configuration under three
+//! parallelism policies: `serial`, `fixed` (`--threads`, default 4,
+//! clamped to the host's `available_parallelism`) and `auto`. The
+//! settled Eq. 3 pruning, memo and kernel races are recorded in
+//! EXPERIMENTS.md, "Settled switches".
 //!
 //! **segmentation** isolates the per-frame stage kernels (the six
 //! Section-2 stages, *excluding* the background estimation every engine
@@ -51,42 +39,28 @@
 //!   frames arrive one at a time and only the previous frame is
 //!   retained.
 //!
-//! **tracking** races the Eq. 3 tracking kernels head to head on
-//! pre-segmented silhouettes, with pruning + memo on everywhere:
-//!
-//! * `scalar-reference` — the live scalar genome-at-a-time path;
-//! * `lanes-serial` — the SoA lane kernel with batched population
-//!   evaluation, one thread;
-//! * `lanes-parallel` — the lane kernel under worker threads.
-//!
-//! It also times the full serial `JumpAnalyzer::analyze` with the lane
-//! kernel (`analyze_ms`) — the end-to-end per-clip figure.
-//!
 //! Every configuration is asserted to produce the identical output
-//! (pipeline mode: same pose bits, same score; segmentation mode: same
-//! stage masks for all seven planes; tracking mode: bit-identical poses
-//! and fitness values across kernels and across Serial / Fixed(4) /
-//! Auto parallelism) before any number is reported — the speedups are
-//! exact optimisations, not approximations. Configurations whose
-//! thread request exceeded the host's cores carry `"clamped": true` in
-//! the JSON and a warning in the console summary: their parallel
-//! timings understate what a wider machine would show. The JSON schema
-//! (`slj-perf-pipeline/3`) is documented in DESIGN.md §Performance.
+//! (pipeline mode: same poses, score and health at every policy;
+//! segmentation mode: same stage masks for all seven planes) before any
+//! number is reported, and each section records that as
+//! `identical: true`. Configurations whose thread request exceeded the
+//! host's cores carry `"clamped": true` in the JSON and a warning in
+//! the console summary: their parallel timings understate what a wider
+//! machine would show. The JSON schema (`slj-perf-pipeline/4`) is
+//! documented in DESIGN.md §Performance.
 //!
 //! Usage:
 //!
 //! ```sh
 //! cargo run --release -p slj-bench --bin perf_pipeline            # full
 //! cargo run --release -p slj-bench --bin perf_pipeline -- --quick # CI smoke
-//! cargo run --release -p slj-bench --bin perf_pipeline -- --mode tracking
+//! cargo run --release -p slj-bench --bin perf_pipeline -- --mode segmentation
 //! ```
 
 use serde::Serialize;
 use slj::prelude::*;
 use slj_bench::scalar::ScalarSegmenter;
 use slj_bench::{banner, f1, print_table};
-use slj_ga::tracker::TrackingRun;
-use slj_ga::Eq3Kernel;
 use slj_imgproc::mask::Mask;
 use slj_runtime::available_threads;
 use slj_segment::background::BackgroundEstimator;
@@ -113,9 +87,11 @@ struct ClipInfo {
     scene: &'static str,
 }
 
-/// One configuration's layer timings, milliseconds (best of `repeats`).
+/// One parallelism policy's layer timings, milliseconds (best of
+/// `repeats`).
 #[derive(Debug, Clone, Serialize)]
 struct ConfigReport {
+    /// `serial`, `fixed` or `auto`.
     name: &'static str,
     /// The thread count the configuration asked for.
     threads_requested: usize,
@@ -124,12 +100,6 @@ struct ConfigReport {
     /// `true` when the host had fewer cores than requested — the
     /// parallel timings understate a wider machine.
     clamped: bool,
-    eq3_pruning: bool,
-    fitness_memo: bool,
-    /// The Eq. 3 kernel (`"Scalar"` genome-at-a-time or `"Lanes"`
-    /// SoA + batched); moot for `baseline-serial`, whose unpruned path
-    /// predates both.
-    kernel: Eq3Kernel,
     segmentation_ms: f64,
     tracking_ms: f64,
     analyze_ms: f64,
@@ -143,10 +113,8 @@ struct PipelineSection {
     /// like the streaming analyzer) but still inside `analyze_ms`.
     background_ms: f64,
     configs: Vec<ConfigReport>,
-    /// `baseline-serial` time ÷ `lanes-parallel` time, per layer.
-    speedup_segmentation: f64,
-    speedup_tracking: f64,
-    speedup_analyze: f64,
+    /// Every policy produced the identical analysis (asserted).
+    identical: bool,
 }
 
 /// One segmentation engine's kernel timings, milliseconds (best of
@@ -188,38 +156,6 @@ struct SegmentationSection {
     identical: bool,
 }
 
-/// One tracking kernel's timing, milliseconds (best of `repeats`).
-#[derive(Debug, Clone, Serialize)]
-struct TrackingReport {
-    name: &'static str,
-    kernel: Eq3Kernel,
-    threads_requested: usize,
-    threads: usize,
-    /// `true` when the host had fewer cores than requested.
-    clamped: bool,
-    tracking_ms: f64,
-}
-
-/// The `--mode tracking` section: the Eq. 3 kernel race.
-#[derive(Debug, Serialize)]
-struct TrackingSection {
-    /// Pruning + fitness memo on for every entrant.
-    eq3_pruning: bool,
-    fitness_memo: bool,
-    configs: Vec<TrackingReport>,
-    /// Full serial `JumpAnalyzer::analyze` with the lane kernel — the
-    /// end-to-end per-clip cost (background + segmentation + tracking
-    /// + scoring).
-    analyze_ms: f64,
-    /// `scalar-reference` ÷ `lanes-serial` tracking wall time.
-    speedup_tracking_serial: f64,
-    /// `scalar-reference` ÷ the best lanes tracking wall time.
-    speedup_tracking_best: f64,
-    /// Poses and fitness values bit-identical across kernels and
-    /// across Serial / Fixed(4) / Auto parallelism (asserted).
-    identical: bool,
-}
-
 /// The whole benchmark: schema documented in DESIGN.md §Performance.
 #[derive(Debug, Serialize)]
 struct BenchReport {
@@ -237,79 +173,6 @@ struct BenchReport {
     pipeline: Option<PipelineSection>,
     /// `null` when the segmentation section was skipped.
     segmentation: Option<SegmentationSection>,
-    /// `null` when the tracking section was skipped.
-    tracking: Option<TrackingSection>,
-}
-
-struct Variant {
-    name: &'static str,
-    threads_requested: usize,
-    parallelism: Parallelism,
-    eq3_pruning: bool,
-    fitness_memo: bool,
-    kernel: Eq3Kernel,
-}
-
-fn variants(requested: usize, resolved: usize) -> Vec<Variant> {
-    vec![
-        Variant {
-            name: "baseline-serial",
-            threads_requested: 1,
-            parallelism: Parallelism::Serial,
-            eq3_pruning: false,
-            fitness_memo: false,
-            kernel: Eq3Kernel::Scalar,
-        },
-        Variant {
-            name: "serial-pruned",
-            threads_requested: 1,
-            parallelism: Parallelism::Serial,
-            eq3_pruning: true,
-            fitness_memo: false,
-            kernel: Eq3Kernel::Scalar,
-        },
-        Variant {
-            name: "serial-optimised",
-            threads_requested: 1,
-            parallelism: Parallelism::Serial,
-            eq3_pruning: true,
-            fitness_memo: true,
-            kernel: Eq3Kernel::Scalar,
-        },
-        Variant {
-            name: "parallel-optimised",
-            threads_requested: requested,
-            parallelism: Parallelism::Fixed(resolved),
-            eq3_pruning: true,
-            fitness_memo: true,
-            kernel: Eq3Kernel::Scalar,
-        },
-        Variant {
-            name: "lanes-serial",
-            threads_requested: 1,
-            parallelism: Parallelism::Serial,
-            eq3_pruning: true,
-            fitness_memo: true,
-            kernel: Eq3Kernel::Lanes,
-        },
-        Variant {
-            name: "lanes-parallel",
-            threads_requested: requested,
-            parallelism: Parallelism::Fixed(resolved),
-            eq3_pruning: true,
-            fitness_memo: true,
-            kernel: Eq3Kernel::Lanes,
-        },
-    ]
-}
-
-fn analyzer_config(base: &AnalyzerConfig, v: &Variant) -> AnalyzerConfig {
-    let mut cfg = base.clone();
-    cfg.parallelism = v.parallelism;
-    cfg.tracker.problem.eq3_pruning = v.eq3_pruning;
-    cfg.tracker.problem.fitness_memo = v.fitness_memo;
-    cfg.tracker.problem.eq3_kernel = v.kernel;
-    cfg
 }
 
 /// Best-of-`repeats` wall time of `work`, milliseconds.
@@ -368,29 +231,6 @@ fn previous_input(inputs: &[Frame], k: usize) -> Option<&Frame> {
     k.checked_sub(1).map(|p| &inputs[p])
 }
 
-/// Asserts two tracking runs are bit-identical: same pose genes, same
-/// fitness bits, same search diagnostics, frame by frame.
-fn assert_tracks_identical(reference: &TrackingRun, other: &TrackingRun, what: &str) {
-    assert_eq!(
-        reference.frames.len(),
-        other.frames.len(),
-        "{what}: frame count diverged"
-    );
-    for (k, (r, o)) in reference.frames.iter().zip(&other.frames).enumerate() {
-        assert_eq!(
-            r.pose.to_genes().map(f64::to_bits),
-            o.pose.to_genes().map(f64::to_bits),
-            "{what}: pose bits diverged, frame {k}"
-        );
-        assert_eq!(
-            r.fitness.to_bits(),
-            o.fitness.to_bits(),
-            "{what}: fitness bits diverged, frame {k}"
-        );
-    }
-    assert_eq!(reference.frames, other.frames, "{what}: results diverged");
-}
-
 fn run_pipeline_section(
     base: &AnalyzerConfig,
     jump: &SyntheticJump,
@@ -412,16 +252,28 @@ fn run_pipeline_section(
     });
     let prepared = Arc::new(PreparedBackground::new(&background.image));
 
+    let policies = [
+        ("serial", 1, Parallelism::Serial),
+        (
+            "fixed",
+            threads_requested,
+            Parallelism::Fixed(threads_resolved),
+        ),
+        ("auto", available_threads(), Parallelism::Auto),
+    ];
     let mut configs = Vec::new();
     let mut reference: Option<AnalysisReport> = None;
-    for v in variants(threads_requested, threads_resolved) {
-        let cfg = analyzer_config(base, &v);
+    for (name, threads_requested, parallelism) in policies {
+        let cfg = AnalyzerConfig {
+            parallelism,
+            ..base.clone()
+        };
 
         // Layer 1: segmentation alone, on the shared prepared
         // background (the per-run background clone is two buffer
         // memcpys — noise next to the per-frame stages).
         let pipeline = SegmentPipeline::new(PipelineConfig {
-            parallelism: cfg.parallelism,
+            parallelism,
             ..cfg.segmentation.clone()
         });
         let (segmentation_ms, seg) = time_ms(repeats, || {
@@ -433,7 +285,7 @@ fn run_pipeline_section(
         // Layer 2: tracking alone, on the already-segmented masks.
         let silhouettes: Vec<Mask> = seg.frames.iter().map(|s| s.final_mask.clone()).collect();
         let tracker = TemporalTracker::new(TrackerConfig {
-            parallelism: cfg.parallelism,
+            parallelism,
             ..cfg.tracker
         });
         let (tracking_ms, _) = time_ms(repeats, || {
@@ -450,39 +302,32 @@ fn run_pipeline_section(
                 .expect("analysis")
         });
 
-        // Every variant must produce the identical analysis — the
-        // optimisations are exact, so a mismatch is a bug, not noise.
+        // Parallelism is throughput-only, so a mismatch is a bug, not
+        // noise.
         match &reference {
             None => reference = Some(report),
             Some(r) => {
-                assert_eq!(r.poses, report.poses, "{}: poses diverged", v.name);
-                assert_eq!(r.score, report.score, "{}: score diverged", v.name);
-                assert_eq!(r.health, report.health, "{}: health diverged", v.name);
+                assert_eq!(r.poses, report.poses, "{name}: poses diverged");
+                assert_eq!(r.score, report.score, "{name}: score diverged");
+                assert_eq!(r.health, report.health, "{name}: health diverged");
             }
         }
 
         configs.push(ConfigReport {
-            name: v.name,
-            threads_requested: v.threads_requested,
-            threads: v.parallelism.threads(),
-            clamped: v.parallelism.threads() < v.threads_requested,
-            eq3_pruning: v.eq3_pruning,
-            fitness_memo: v.fitness_memo,
-            kernel: v.kernel,
+            name,
+            threads_requested,
+            threads: parallelism.threads(),
+            clamped: parallelism.threads() < threads_requested,
             segmentation_ms,
             tracking_ms,
             analyze_ms,
         });
     }
 
-    let baseline = configs[0].clone();
-    let optimised = configs.last().expect("variants").clone();
     PipelineSection {
         background_ms,
         configs,
-        speedup_segmentation: baseline.segmentation_ms / optimised.segmentation_ms,
-        speedup_tracking: baseline.tracking_ms / optimised.tracking_ms,
-        speedup_analyze: baseline.analyze_ms / optimised.analyze_ms,
+        identical: true,
     }
 }
 
@@ -599,33 +444,25 @@ fn run_segmentation_section(
 
     let (parallel_ms, parallel_timings) = time_kernel(repeats, || {
         let prepared = Arc::new(PreparedBackground::new(&background.image));
-        let chunk = inputs.len().div_ceil(threads_resolved);
-        let workers = inputs.len().div_ceil(chunk);
-        let mut timings = vec![Profiler::default(); workers];
+        // One profiler slot per frame; each chunk's worker accumulates
+        // into its first slot.
+        let mut timings = vec![Profiler::default(); inputs.len()];
         let config = &seg_config;
-        crossbeam::scope(|scope| {
-            for (ci, slot) in timings.chunks_mut(1).enumerate() {
-                let prepared = Arc::clone(&prepared);
-                scope.spawn(move |_| {
-                    let mut segmenter = FrameSegmenter::new(config, prepared);
-                    let mut out = FrameStages::empty();
-                    let mut t = Profiler::default();
-                    for k in ci * chunk..((ci + 1) * chunk).min(inputs.len()) {
-                        segmenter
-                            .segment_into_profiled(
-                                &inputs[k],
-                                previous_input(inputs, k),
-                                &mut out,
-                                &mut t,
-                            )
-                            .expect("packed-parallel");
-                        std::hint::black_box(&out);
-                    }
-                    slot[0] = t;
-                });
+        slj_runtime::for_each_chunk(threads_resolved, &mut timings, |offset, chunk| {
+            let mut segmenter = FrameSegmenter::new(config, Arc::clone(&prepared));
+            let mut out = FrameStages::empty();
+            for k in offset..offset + chunk.len() {
+                segmenter
+                    .segment_into_profiled(
+                        &inputs[k],
+                        previous_input(inputs, k),
+                        &mut out,
+                        &mut chunk[0],
+                    )
+                    .expect("packed-parallel");
+                std::hint::black_box(&out);
             }
-        })
-        .expect("segmentation worker panicked");
+        });
         let mut merged = Profiler::default();
         for t in &timings {
             merged.absorb(t);
@@ -678,128 +515,6 @@ fn run_segmentation_section(
     }
 }
 
-fn run_tracking_section(
-    base: &AnalyzerConfig,
-    jump: &SyntheticJump,
-    scene: &SceneConfig,
-    repeats: usize,
-    threads_requested: usize,
-    threads_resolved: usize,
-) -> TrackingSection {
-    let first_pose = jump.poses.poses()[0];
-
-    // Pre-segment once (untimed): the race is about Eq. 3 kernels.
-    let silhouettes: Vec<Mask> = SegmentPipeline::new(base.segmentation.clone())
-        .run(&jump.video)
-        .expect("segmentation")
-        .frames
-        .iter()
-        .map(|s| s.final_mask.clone())
-        .collect();
-
-    let tracker_for = |kernel: Eq3Kernel, parallelism: Parallelism| {
-        let mut cfg = base.tracker;
-        cfg.parallelism = parallelism;
-        cfg.problem.eq3_pruning = true;
-        cfg.problem.fitness_memo = true;
-        cfg.problem.eq3_kernel = kernel;
-        TemporalTracker::new(cfg)
-    };
-    let track = |kernel: Eq3Kernel, parallelism: Parallelism| {
-        tracker_for(kernel, parallelism)
-            .track(&silhouettes, first_pose, &base.dims, &scene.camera)
-            .expect("tracking")
-    };
-
-    // Correctness first: the lane kernel must reproduce the live
-    // scalar path bit for bit — poses AND fitness values — at every
-    // parallelism policy, before any clock starts.
-    let reference = track(Eq3Kernel::Scalar, Parallelism::Serial);
-    for (what, parallelism) in [
-        ("lanes-serial", Parallelism::Serial),
-        ("lanes-fixed4", Parallelism::Fixed(4)),
-        ("lanes-auto", Parallelism::Auto),
-    ] {
-        assert_tracks_identical(&reference, &track(Eq3Kernel::Lanes, parallelism), what);
-    }
-    assert_tracks_identical(
-        &reference,
-        &track(Eq3Kernel::Scalar, Parallelism::Fixed(4)),
-        "scalar-fixed4",
-    );
-
-    let entrants = [
-        (
-            "scalar-reference",
-            Eq3Kernel::Scalar,
-            1,
-            Parallelism::Serial,
-        ),
-        ("lanes-serial", Eq3Kernel::Lanes, 1, Parallelism::Serial),
-        (
-            "lanes-parallel",
-            Eq3Kernel::Lanes,
-            threads_requested,
-            Parallelism::Fixed(threads_resolved),
-        ),
-    ];
-    let configs: Vec<TrackingReport> = entrants
-        .iter()
-        .map(|&(name, kernel, requested, parallelism)| {
-            let tracker = tracker_for(kernel, parallelism);
-            let (tracking_ms, _) = time_ms(repeats, || {
-                tracker
-                    .track(&silhouettes, first_pose, &base.dims, &scene.camera)
-                    .expect("tracking")
-            });
-            TrackingReport {
-                name,
-                kernel,
-                threads_requested: requested,
-                threads: parallelism.threads(),
-                clamped: parallelism.threads() < requested,
-                tracking_ms,
-            }
-        })
-        .collect();
-
-    // The end-to-end figure: one serial clip analysis with the lane
-    // kernel, background and segmentation included.
-    let analyze_cfg = analyzer_config(
-        base,
-        &Variant {
-            name: "lanes-serial",
-            threads_requested: 1,
-            parallelism: Parallelism::Serial,
-            eq3_pruning: true,
-            fitness_memo: true,
-            kernel: Eq3Kernel::Lanes,
-        },
-    );
-    let analyzer = JumpAnalyzer::new(analyze_cfg);
-    let (analyze_ms, _) = time_ms(repeats, || {
-        analyzer
-            .analyze(&jump.video, &scene.camera, first_pose)
-            .expect("analysis")
-    });
-
-    let scalar_ms = configs[0].tracking_ms;
-    let lanes_serial_ms = configs[1].tracking_ms;
-    let best_lanes_ms = configs[1..]
-        .iter()
-        .map(|c| c.tracking_ms)
-        .fold(f64::INFINITY, f64::min);
-    TrackingSection {
-        eq3_pruning: true,
-        fitness_memo: true,
-        configs,
-        analyze_ms,
-        speedup_tracking_serial: scalar_ms / lanes_serial_ms,
-        speedup_tracking_best: scalar_ms / best_lanes_ms,
-        identical: true,
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -813,12 +528,11 @@ fn main() {
         .map(|v| v.parse().expect("--threads takes an integer"))
         .unwrap_or(4);
     let section = flag_value("--mode").unwrap_or_else(|| "all".to_owned());
-    let (run_pipeline, run_segmentation, run_tracking) = match section.as_str() {
-        "pipeline" => (true, false, false),
-        "segmentation" => (false, true, false),
-        "tracking" => (false, false, true),
-        "all" => (true, true, true),
-        other => panic!("--mode {other}: expected pipeline, segmentation, tracking or all"),
+    let (run_pipeline, run_segmentation) = match section.as_str() {
+        "pipeline" => (true, false),
+        "segmentation" => (false, true),
+        "all" => (true, true),
+        other => panic!("--mode {other}: expected pipeline, segmentation or all"),
     };
     // Oversubscribing a CPU-bound stage only adds scheduler churn, so
     // the requested worker count is clamped to the host's cores and
@@ -832,7 +546,7 @@ fn main() {
     };
     banner(
         "Perf",
-        "pipeline timings: serial baseline vs pruning + memo + lanes + threads",
+        "pipeline timings across parallelism policies; segmentation kernels",
         SEED,
     );
     println!(
@@ -870,17 +584,6 @@ fn main() {
     let segmentation = run_segmentation.then(|| {
         run_segmentation_section(&base, &jump, repeats, threads_requested, threads_resolved)
     });
-    let tracking = run_tracking.then(|| {
-        run_tracking_section(
-            &base,
-            &jump,
-            &scene,
-            repeats,
-            threads_requested,
-            threads_resolved,
-        )
-    });
-
     if let Some(p) = &pipeline {
         let rows: Vec<Vec<String>> = p
             .configs
@@ -889,9 +592,6 @@ fn main() {
                 vec![
                     c.name.to_owned(),
                     format!("{}{}", c.threads, if c.clamped { "*" } else { "" }),
-                    if c.eq3_pruning { "on" } else { "off" }.to_owned(),
-                    if c.fitness_memo { "on" } else { "off" }.to_owned(),
-                    format!("{:?}", c.kernel).to_lowercase(),
                     f1(c.segmentation_ms),
                     f1(c.tracking_ms),
                     f1(c.analyze_ms),
@@ -899,25 +599,12 @@ fn main() {
             })
             .collect();
         print_table(
-            &[
-                "config",
-                "threads",
-                "prune",
-                "memo",
-                "kernel",
-                "segment ms",
-                "track ms",
-                "analyze ms",
-            ],
+            &["policy", "threads", "segment ms", "track ms", "analyze ms"],
             &rows,
         );
         println!(
-            "\nspeedup vs baseline-serial: segmentation {:.2}x, tracking {:.2}x, analyze {:.2}x",
-            p.speedup_segmentation, p.speedup_tracking, p.speedup_analyze
-        );
-        println!(
-            "(background estimation {:.1} ms, shared per config; all configurations \
-             produced byte-identical analyses{})\n",
+            "\n(background estimation {:.1} ms, shared per policy; all policies \
+             produced identical analyses{})\n",
             p.background_ms,
             if p.configs.iter().any(|c| c.clamped) {
                 "; * = thread request clamped to the host"
@@ -968,48 +655,14 @@ fn main() {
         );
     }
 
-    if let Some(t) = &tracking {
-        let rows: Vec<Vec<String>> = t
-            .configs
-            .iter()
-            .map(|c| {
-                vec![
-                    c.name.to_owned(),
-                    format!("{:?}", c.kernel).to_lowercase(),
-                    format!("{}{}", c.threads, if c.clamped { "*" } else { "" }),
-                    f1(c.tracking_ms),
-                ]
-            })
-            .collect();
-        print_table(&["config", "kernel", "threads", "track ms"], &rows);
-        println!(
-            "\ntracking-kernel speedup vs live scalar reference: serial {:.2}x, best {:.2}x",
-            t.speedup_tracking_serial, t.speedup_tracking_best
-        );
-        println!(
-            "full serial analyze with lane kernel: {:.1} ms/clip",
-            t.analyze_ms
-        );
-        println!(
-            "(poses and fitness values bit-identical across kernels and Serial / \
-             Fixed(4) / Auto parallelism{})",
-            if t.configs.iter().any(|c| c.clamped) {
-                "; * = thread request clamped to the host"
-            } else {
-                ""
-            }
-        );
-    }
-
     let report = BenchReport {
-        schema: "slj-perf-pipeline/3",
+        schema: "slj-perf-pipeline/4",
         mode,
         clip,
         repeats,
         host_threads: available_threads(),
         pipeline,
         segmentation,
-        tracking,
     };
     let json = serde_json::to_string_pretty(&report).expect("serialise");
     std::fs::write(OUT_PATH, json + "\n").expect("write BENCH_pipeline.json");

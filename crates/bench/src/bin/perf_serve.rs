@@ -2,22 +2,12 @@
 //! `BENCH_serve.json`.
 //!
 //! Measures `slj-serve`'s session fan-out: how many frames per second
-//! the supervised manager sustains as the session count grows, and
-//! what the persistent worker pool buys over the per-tick
-//! spawn-a-scope baseline it replaced.
-//!
-//! The sweep runs {1, 4, 16, 64} concurrent sessions under three
-//! parallelism policies (`Serial`, `Fixed(4)`, `Auto`), each policy
-//! with both worker lifecycles where they differ:
-//!
-//! * `pool` — the persistent epoch-barrier [`WorkerPool`]: workers are
-//!   created once per manager and parked between ticks;
-//! * `spawn` — the pre-pool baseline, kept selectable via
-//!   [`ServeConfig::worker_mode`]: every tick spawns and joins a fresh
-//!   crossbeam scope.
-//!
-//! (With one effective thread both modes share the serial path, so
-//! single-thread cells are reported once, as `pool`.)
+//! the supervised manager sustains as the session count grows. The
+//! sweep runs {1, 4, 16, 64} concurrent sessions under three
+//! parallelism policies (`Serial`, `Fixed(4)`, `Auto`); parallel ticks
+//! run on the manager's persistent worker pool. The settled race of
+//! that pool against per-tick thread spawning is recorded in
+//! EXPERIMENTS.md, "Settled switches".
 //!
 //! Each cell drives every session through the standard synthetic clip
 //! at supervision cadence — the manager ticks [`TICKS_PER_OFFER`]
@@ -30,14 +20,12 @@
 //!
 //! **Identity first.** Before any clock starts, a 2-wave churn drive
 //! (sessions retiring into the slot pool, successors adopting the
-//! recycled slots) is raced across every combination of worker mode ×
-//! slot pool × parallelism, and all twelve runs must produce
-//! byte-identical event streams, analyses, per-session metrics and
-//! aggregate metrics. The speedups are exact optimisations, not
-//! approximations; `identical: true` in the JSON records the assertion
-//! ran.
+//! recycled slots) is raced across every parallelism policy, and all
+//! three runs must produce byte-identical event streams, analyses,
+//! per-session metrics and aggregate metrics; `identical: true` in the
+//! JSON records the assertion ran.
 //!
-//! The JSON schema (`slj-perf-serve/1`) is documented in DESIGN.md §13.
+//! The JSON schema (`slj-perf-serve/2`) is documented in DESIGN.md §13.
 //!
 //! Usage:
 //!
@@ -53,7 +41,6 @@ use slj_ga::{GaConfig, PoseProblemConfig};
 use slj_runtime::{available_threads, Parallelism};
 use slj_serve::{
     DeadlineClock, EventKind, HealthEvent, OfferReply, ServeConfig, SessionConfig, SessionManager,
-    WorkerMode,
 };
 use std::time::Instant;
 
@@ -68,8 +55,8 @@ const OUT_PATH: &str = "BENCH_serve.json";
 /// supervision (sub-millisecond deadline enforcement) against ~30 fps
 /// cameras that is ~64 ticks per frame interval, most of which find
 /// every session idle. That idle-heavy regime is where worker
-/// lifecycle overhead shows: a spawned scope pays thread create/join
-/// on every one of those ticks, the pool pays a parked-thread wakeup.
+/// lifecycle overhead shows: the pool pays a parked-thread wakeup on
+/// every one of those ticks.
 const TICKS_PER_OFFER: usize = 64;
 
 #[derive(Debug, Clone, Serialize)]
@@ -81,7 +68,7 @@ struct ClipInfo {
     scene: &'static str,
 }
 
-/// One (sessions × policy × worker mode) cell, best of `repeats`.
+/// One (sessions × policy) cell, best of `repeats`.
 #[derive(Debug, Clone, Serialize)]
 struct CellReport {
     sessions: usize,
@@ -89,8 +76,6 @@ struct CellReport {
     policy: &'static str,
     /// The effective worker count after `Parallelism::threads()`.
     threads: usize,
-    /// `pool` or `spawn`.
-    worker_mode: String,
     /// Sessions × frames over the full lifecycle wall time.
     frames_per_sec: f64,
     elapsed_ms: f64,
@@ -119,16 +104,13 @@ struct BenchReport {
     host_threads: usize,
     /// Manager ticks per offered frame (supervision cadence).
     ticks_per_offer: usize,
-    /// Every worker mode × slot pool × parallelism combination
-    /// produced byte-identical events, analyses and metrics under the
-    /// churn drive (asserted before timing).
+    /// Every parallelism policy produced byte-identical events,
+    /// analyses and metrics under the churn drive (asserted before
+    /// timing).
     identical: bool,
-    /// Combinations raced in the identity check.
+    /// Policies raced in the identity check.
     identity_combos: usize,
     cells: Vec<CellReport>,
-    /// Best pooled frames/sec ÷ best spawn frames/sec at 16 sessions
-    /// (parallel policies only — the pool's headline number).
-    speedup_pool_vs_spawn_16: f64,
 }
 
 /// A deliberately small per-session analyzer budget: the bench
@@ -161,31 +143,23 @@ fn micro_config() -> AnalyzerConfig {
     }
 }
 
-fn serve_config(
-    sessions: usize,
-    parallelism: Parallelism,
-    worker_mode: WorkerMode,
-    slot_pool: bool,
-    clip_frames: usize,
-) -> ServeConfig {
+fn serve_config(sessions: usize, parallelism: Parallelism, clip_frames: usize) -> ServeConfig {
     ServeConfig {
         max_sessions: sessions,
         queue_depth: 4,
         clock: DeadlineClock::Scripted,
         // Checkpoints clone live analyzer state; keep them out of the
-        // measured loop so cells compare worker lifecycles, not
-        // checkpoint cadence.
+        // measured loop so cells compare fan-out, not checkpoint
+        // cadence.
         checkpoint_interval: clip_frames + 1,
         stall_ticks: 0,
         parallelism,
-        worker_mode,
-        slot_pool,
         ..ServeConfig::default()
     }
 }
 
 /// Everything a run produces that must be byte-identical across
-/// worker modes, slot pooling and parallelism.
+/// parallelism policies.
 struct RunArtifacts {
     events: Vec<HealthEvent>,
     results: Vec<Option<JumpAnalysis>>,
@@ -271,52 +245,43 @@ fn run(
     )
 }
 
-/// Races every worker mode × slot pool × parallelism combination
-/// through the 2-wave churn drive and asserts byte-identical output.
-/// Returns the number of combinations raced.
+/// The parallelism policies every cell and the identity race cover.
+const POLICIES: [(&str, Parallelism); 3] = [
+    ("serial", Parallelism::Serial),
+    ("fixed4", Parallelism::Fixed(4)),
+    ("auto", Parallelism::Auto),
+];
+
+/// Races every parallelism policy through the 2-wave churn drive and
+/// asserts byte-identical output. Returns the number of policies raced.
 fn assert_identity(jump: &SyntheticJump, session: &SessionConfig) -> usize {
     const WAVES: usize = 2;
     const PER_WAVE: usize = 2;
-    let mut reference: Option<(RunArtifacts, &'static str)> = None;
-    let mut combos = 0;
-    for worker_mode in [WorkerMode::Pool, WorkerMode::Spawn] {
-        for slot_pool in [true, false] {
-            for (policy, parallelism) in [
-                ("serial", Parallelism::Serial),
-                ("fixed4", Parallelism::Fixed(4)),
-                ("auto", Parallelism::Auto),
-            ] {
-                let (_, artifacts) = run(
-                    serve_config(
-                        PER_WAVE,
-                        parallelism,
-                        worker_mode,
-                        slot_pool,
-                        jump.video.len(),
-                    ),
-                    WAVES,
-                    PER_WAVE,
-                    jump,
-                    session,
-                );
-                combos += 1;
-                match &reference {
-                    None => reference = Some((artifacts, policy)),
-                    Some((r, _)) => {
-                        let what = format!("{worker_mode} slot_pool={slot_pool} {policy}");
-                        assert_eq!(r.events, artifacts.events, "{what}: events diverged");
-                        assert_eq!(r.results, artifacts.results, "{what}: analyses diverged");
-                        assert_eq!(r.metrics, artifacts.metrics, "{what}: metrics diverged");
-                        assert_eq!(
-                            r.aggregate, artifacts.aggregate,
-                            "{what}: aggregate metrics diverged"
-                        );
-                    }
-                }
-            }
-        }
+    let drive = |parallelism| {
+        let config = serve_config(PER_WAVE, parallelism, jump.video.len());
+        run(config, WAVES, PER_WAVE, jump, session).1
+    };
+    let reference = drive(Parallelism::Serial);
+    for (policy, parallelism) in &POLICIES[1..] {
+        let artifacts = drive(*parallelism);
+        assert_eq!(
+            reference.events, artifacts.events,
+            "{policy}: events diverged"
+        );
+        assert_eq!(
+            reference.results, artifacts.results,
+            "{policy}: analyses diverged"
+        );
+        assert_eq!(
+            reference.metrics, artifacts.metrics,
+            "{policy}: metrics diverged"
+        );
+        assert_eq!(
+            reference.aggregate, artifacts.aggregate,
+            "{policy}: aggregate metrics diverged"
+        );
     }
-    combos
+    POLICIES.len()
 }
 
 /// `(p50, p99)` of per-tick latencies (nearest-rank on the sorted
@@ -334,7 +299,6 @@ fn time_cell(
     sessions: usize,
     policy: &'static str,
     parallelism: Parallelism,
-    worker_mode: WorkerMode,
     repeats: usize,
     jump: &SyntheticJump,
     session: &SessionConfig,
@@ -342,7 +306,7 @@ fn time_cell(
     let mut best: Option<RunTiming> = None;
     for _ in 0..repeats {
         let (timing, _) = run(
-            serve_config(sessions, parallelism, worker_mode, true, jump.video.len()),
+            serve_config(sessions, parallelism, jump.video.len()),
             1,
             sessions,
             jump,
@@ -361,7 +325,6 @@ fn time_cell(
         sessions,
         policy,
         threads: parallelism.threads(),
-        worker_mode: worker_mode.to_string(),
         frames_per_sec: (sessions * jump.video.len()) as f64 / (best.elapsed_ms / 1e3),
         elapsed_ms: best.elapsed_ms,
         p50_step_ms: p50,
@@ -382,7 +345,7 @@ fn main() {
 
     banner(
         "Perf serve",
-        "cross-session throughput: persistent worker pool vs per-tick spawn",
+        "cross-session throughput across parallelism policies",
         SEED,
     );
     println!(
@@ -410,40 +373,22 @@ fn main() {
         scene: "compact-clean",
     };
 
-    // Correctness before clocks: every lifecycle knob must be
-    // invisible to outputs.
+    // Correctness before clocks: the fan-out must be invisible to
+    // outputs.
     let identity_combos = assert_identity(&jump, &session);
-    println!(
-        "   identity: {identity_combos} worker-mode x slot-pool x parallelism \
-         combinations byte-identical\n"
-    );
+    println!("   identity: {identity_combos} parallelism policies byte-identical\n");
 
-    let policies = [
-        ("serial", Parallelism::Serial),
-        ("fixed4", Parallelism::Fixed(4)),
-        ("auto", Parallelism::Auto),
-    ];
     let mut cells = Vec::new();
     for &sessions in session_sweep {
-        for (policy, parallelism) in policies {
-            // One effective thread means pool and spawn share the
-            // serial path: report the cell once.
-            let modes: &[WorkerMode] = if parallelism.threads().min(sessions) <= 1 {
-                &[WorkerMode::Pool]
-            } else {
-                &[WorkerMode::Pool, WorkerMode::Spawn]
-            };
-            for &worker_mode in modes {
-                cells.push(time_cell(
-                    sessions,
-                    policy,
-                    parallelism,
-                    worker_mode,
-                    repeats,
-                    &jump,
-                    &session,
-                ));
-            }
+        for (policy, parallelism) in POLICIES {
+            cells.push(time_cell(
+                sessions,
+                policy,
+                parallelism,
+                repeats,
+                &jump,
+                &session,
+            ));
         }
     }
 
@@ -454,7 +399,6 @@ fn main() {
                 c.sessions.to_string(),
                 c.policy.to_owned(),
                 c.threads.to_string(),
-                c.worker_mode.clone(),
                 format!("{:.0}", c.frames_per_sec),
                 f1(c.elapsed_ms),
                 format!("{:.3}", c.p50_step_ms),
@@ -469,7 +413,6 @@ fn main() {
             "sessions",
             "policy",
             "threads",
-            "workers",
             "frames/s",
             "elapsed ms",
             "p50 ms",
@@ -480,27 +423,8 @@ fn main() {
         &rows,
     );
 
-    // The headline: pool vs spawn at 16 sessions, parallel policies.
-    let best_fps = |mode: &str| {
-        cells
-            .iter()
-            .filter(|c| c.sessions == 16 && c.threads > 1 && c.worker_mode == mode)
-            .map(|c| c.frames_per_sec)
-            .fold(0.0f64, f64::max)
-    };
-    let (pool_16, spawn_16) = (best_fps("pool"), best_fps("spawn"));
-    let speedup_pool_vs_spawn_16 = if spawn_16 > 0.0 {
-        pool_16 / spawn_16
-    } else {
-        0.0
-    };
-    println!(
-        "\npersistent pool vs per-tick spawn at 16 sessions: {speedup_pool_vs_spawn_16:.2}x \
-         frames/sec ({pool_16:.0} vs {spawn_16:.0})"
-    );
-
     let report = BenchReport {
-        schema: "slj-perf-serve/1",
+        schema: "slj-perf-serve/2",
         mode,
         clip,
         repeats,
@@ -509,7 +433,6 @@ fn main() {
         identical: true,
         identity_combos,
         cells,
-        speedup_pool_vs_spawn_16,
     };
     let json = serde_json::to_string_pretty(&report).expect("serialise");
     std::fs::write(OUT_PATH, json + "\n").expect("write BENCH_serve.json");

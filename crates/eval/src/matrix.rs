@@ -305,30 +305,19 @@ struct CellData {
 /// Runs the full matrix and aggregates the report.
 pub fn run_matrix(config: &MatrixConfig) -> EvalReport {
     let cells = config.cells();
-    let threads = config.parallelism.threads().max(1);
     let mut outcomes: Vec<Option<CellOutcome>> = Vec::new();
     outcomes.resize_with(cells.len(), || None);
-
-    if threads <= 1 || cells.len() <= 1 {
-        for (slot, cell) in outcomes.iter_mut().zip(&cells) {
-            *slot = Some(run_cell(cell, config.max_degraded_frames));
-        }
-    } else {
-        // As in the segmentation pipeline: disjoint chunks, results land
-        // in matrix order, thread count affects throughput only.
-        let chunk = cells.len().div_ceil(threads);
-        let cells = &cells;
-        crossbeam::scope(|scope| {
-            for (ci, out) in outcomes.chunks_mut(chunk).enumerate() {
-                scope.spawn(move |_| {
-                    for (i, slot) in out.iter_mut().enumerate() {
-                        *slot = Some(run_cell(&cells[ci * chunk + i], config.max_degraded_frames));
-                    }
-                });
+    // As in the segmentation pipeline: disjoint chunks, results land in
+    // matrix order, thread count affects throughput only.
+    slj_runtime::for_each_chunk(
+        config.parallelism.threads(),
+        &mut outcomes,
+        |offset, out| {
+            for (slot, cell) in out.iter_mut().zip(&cells[offset..]) {
+                *slot = Some(run_cell(cell, config.max_degraded_frames));
             }
-        })
-        .expect("matrix worker panicked");
-    }
+        },
+    );
 
     let outcomes: Vec<CellOutcome> = outcomes
         .into_iter()

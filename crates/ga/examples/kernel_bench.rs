@@ -1,4 +1,11 @@
-//! Quick microbenchmark: scalar vs lane Eq. 3 kernels.
+//! Quick microbenchmark: the Eq. 3 scans of `SilhouetteFitness` raced
+//! head to head (unpruned reference, pruned scalar, lane kernel single
+//! and batched), then the production tracker on a synthetic jump.
+//!
+//! ```sh
+//! cargo run --release -p slj-ga --example kernel_bench
+//! TRACK_ONLY=1 TRACK_ITERS=8 cargo run --release -p slj-ga --example kernel_bench
+//! ```
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -43,50 +50,52 @@ fn main() {
     // to transient stalls.
     let rounds = if track_only { 0 } else { 10 };
     let reps_per_round = 20;
-    let mut best = [f64::INFINITY; 3]; // scalar, lanes single, lanes batch
-    let mut acc = [0.0f64; 3];
+    // unpruned, scalar pruned, lanes single, lanes batch
+    let mut best = [f64::INFINITY; 4];
+    let mut acc = [0.0f64; 4];
     let mut out = vec![0.0f64; poses.len()];
     let mut scratch = BatchScratch::default();
     for _ in 0..rounds {
-        let t = Instant::now();
-        for _ in 0..reps_per_round {
-            for p in &poses {
-                acc[0] += fit.evaluate(p, &dims);
+        let single: [fn(&SilhouetteFitness, &Pose, &BodyDims) -> f64; 3] = [
+            SilhouetteFitness::evaluate_unpruned,
+            SilhouetteFitness::evaluate,
+            SilhouetteFitness::evaluate_lanes,
+        ];
+        for (i, evaluate) in single.into_iter().enumerate() {
+            let t = Instant::now();
+            for _ in 0..reps_per_round {
+                for p in &poses {
+                    acc[i] += evaluate(&fit, p, &dims);
+                }
             }
+            best[i] = best[i].min(t.elapsed().as_secs_f64() * 1e3);
         }
-        best[0] = best[0].min(t.elapsed().as_secs_f64() * 1e3);
-        let t = Instant::now();
-        for _ in 0..reps_per_round {
-            for p in &poses {
-                acc[1] += fit.evaluate_lanes(p, &dims);
-            }
-        }
-        best[1] = best[1].min(t.elapsed().as_secs_f64() * 1e3);
         let t = Instant::now();
         for _ in 0..reps_per_round {
             fit.evaluate_batch(&poses, &dims, &mut out, &mut scratch);
             for &v in &out {
-                acc[2] += v;
+                acc[3] += v;
             }
         }
-        best[2] = best[2].min(t.elapsed().as_secs_f64() * 1e3);
+        best[3] = best[3].min(t.elapsed().as_secs_f64() * 1e3);
     }
-    let scalar_ms = best[0];
-    let lanes_ms = best[1];
-    let batch_ms = best[2];
     if !track_only {
-        assert_eq!(acc[0], acc[1], "lanes != scalar");
-        assert_eq!(acc[0], acc[2], "batch != scalar");
+        assert_eq!(acc[0], acc[1], "pruned != unpruned");
+        assert_eq!(acc[0], acc[2], "lanes != unpruned");
+        assert_eq!(acc[0], acc[3], "batch != unpruned");
+        let [unpruned_ms, scalar_ms, lanes_ms, batch_ms] = best;
         println!(
-            "scalar pruned:  {scalar_ms:8.1} ms/round  (acc {:.3})",
+            "unpruned:       {unpruned_ms:8.1} ms/round  (acc {:.3})",
             acc[0]
         );
+        println!("scalar pruned:  {scalar_ms:8.1} ms/round");
         println!("lanes single:   {lanes_ms:8.1} ms/round");
         println!("lanes batch:    {batch_ms:8.1} ms/round");
         println!(
-            "speedup: single {:.2}x, batch {:.2}x",
-            scalar_ms / lanes_ms,
-            scalar_ms / batch_ms
+            "speedup vs unpruned: pruned {:.2}x, single {:.2}x, batch {:.2}x",
+            unpruned_ms / scalar_ms,
+            unpruned_ms / lanes_ms,
+            unpruned_ms / batch_ms
         );
     }
     let reps = if track_only { 0 } else { 200 };
@@ -140,7 +149,6 @@ fn main() {
 
     // A realistic tracking workload: the synthetic jump's true
     // silhouettes, temporal GA per frame.
-    use slj_ga::fitness::Eq3Kernel;
     use slj_ga::{TemporalTracker, TrackerConfig};
     use slj_motion::JumpConfig;
     use slj_video::{SceneConfig, SyntheticJump};
@@ -154,9 +162,7 @@ fn main() {
         .collect();
     let first = jump.poses.poses()[0];
     if track_only {
-        let mut cfg = TrackerConfig::default();
-        cfg.problem.eq3_kernel = Eq3Kernel::Lanes;
-        let tracker = TemporalTracker::new(cfg);
+        let tracker = TemporalTracker::new(TrackerConfig::default());
         let t = Instant::now();
         let iters: usize = std::env::var("TRACK_ITERS")
             .ok()
@@ -169,19 +175,11 @@ fn main() {
                     .unwrap(),
             );
         }
-        println!(
-            "track lanes x{iters}: {:8.1} ms",
-            t.elapsed().as_secs_f64() * 1e3
-        );
+        println!("track x{iters}: {:8.1} ms", t.elapsed().as_secs_f64() * 1e3);
         return;
     }
-    for (label, kernel, cheap_valid) in [
-        ("scalar        ", Eq3Kernel::Scalar, false),
-        ("lanes         ", Eq3Kernel::Lanes, false),
-        ("lanes cheapval", Eq3Kernel::Lanes, true),
-    ] {
+    for (label, cheap_valid) in [("default ", false), ("cheapval", true)] {
         let mut cfg = TrackerConfig::default();
-        cfg.problem.eq3_kernel = kernel;
         if cheap_valid {
             cfg.problem.validity_samples = 1;
         }

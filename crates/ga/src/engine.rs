@@ -12,8 +12,9 @@
 //! **minimised** (Eq. 3's `F_S` is a cost: "the smaller the FS is, the
 //! better the stick model fits the silhouette").
 //!
-//! Fitness evaluation can optionally fan out over crossbeam scoped
-//! threads; evaluation is pure, so parallelism never changes results —
+//! Fitness evaluation can optionally fan out over scoped threads
+//! ([`slj_runtime::for_each_chunk`]); evaluation is pure, so
+//! parallelism never changes results —
 //! all stochastic choices draw from the caller's seeded RNG on one
 //! thread.
 
@@ -88,7 +89,7 @@ pub struct GaConfig {
     /// Attempts per slot when sampling valid genomes (initialisation and
     /// offspring repair).
     pub validity_retries: usize,
-    /// Evaluate fitness on this many crossbeam threads (1 = serial).
+    /// Evaluate fitness on this many scoped threads (1 = serial).
     pub threads: usize,
 }
 
@@ -206,20 +207,16 @@ fn evaluate_batch<P: Problem>(
     genomes: Vec<P::Genome>,
     threads: usize,
 ) -> Vec<Individual<P::Genome>> {
-    let threads = threads.min(genomes.len());
     let n = genomes.len();
-    let mut fitnesses = vec![0.0f64; n];
-    if threads <= 1 || n < MIN_GENOMES_PER_THREAD * threads {
-        problem.fitness_batch(&genomes, &mut fitnesses);
+    let threads = if n < MIN_GENOMES_PER_THREAD * threads.min(n) {
+        1
     } else {
-        let chunk = n.div_ceil(threads);
-        crossbeam::scope(|scope| {
-            for (gs, fs) in genomes.chunks(chunk).zip(fitnesses.chunks_mut(chunk)) {
-                scope.spawn(move |_| problem.fitness_batch(gs, fs));
-            }
-        })
-        .expect("fitness worker panicked");
-    }
+        threads
+    };
+    let mut fitnesses = vec![0.0f64; n];
+    slj_runtime::for_each_chunk(threads, &mut fitnesses, |offset, fs| {
+        problem.fitness_batch(&genomes[offset..offset + fs.len()], fs);
+    });
     genomes
         .into_iter()
         .zip(fitnesses)

@@ -49,35 +49,6 @@ use slj_motion::model::ALL_STICKS;
 use slj_motion::{BodyDims, Pose};
 use slj_video::Camera;
 
-/// Which Eq. 3 kernel a [`crate::PoseProblem`] evaluation uses. Both
-/// produce bit-identical fitness values; the choice is a throughput
-/// setting, kept explicit so the perf harness can race the live scalar
-/// reference against the lane kernel forever.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize)]
-pub enum Eq3Kernel {
-    /// Genome-at-a-time scalar scan with the per-pixel warm-started
-    /// branch-and-bound — the pre-vectorisation hot path, kept live.
-    Scalar,
-    /// Chunked structure-of-arrays kernel with chunk-granular pruning
-    /// and batched population evaluation.
-    #[default]
-    Lanes,
-}
-
-// Manual impl so a missing/null field deserialises to the default —
-// configs serialised before the kernel knob existed must still load
-// (the vendored serde derive has no `#[serde(default)]` support).
-impl serde::Deserialize for Eq3Kernel {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        match v {
-            serde::Value::Null => Ok(Eq3Kernel::default()),
-            serde::Value::Str(s) if s == "Scalar" => Ok(Eq3Kernel::Scalar),
-            serde::Value::Str(s) if s == "Lanes" => Ok(Eq3Kernel::Lanes),
-            other => Err(serde::DeError::expected("Eq3Kernel variant", other)),
-        }
-    }
-}
-
 /// Number of axis samples per stick for the model→silhouette coverage
 /// term.
 const MODEL_SAMPLES_PER_STICK: usize = 7;

@@ -16,7 +16,7 @@
 
 use crate::engine::Problem;
 use crate::error::GaError;
-use crate::fitness::{BatchScratch, Eq3Kernel, SilhouetteFitness};
+use crate::fitness::{BatchScratch, SilhouetteFitness};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -81,26 +81,6 @@ pub struct PoseProblemConfig {
     pub validity_fraction: f64,
     /// Number of axis samples per stick for the validity test.
     pub validity_samples: usize,
-    /// Use the exact AABB branch-and-bound over the 8 sticks when
-    /// evaluating Eq. 3 (see `fitness` module docs). The pruned result
-    /// is bit-identical to the exhaustive scan; disabling it exists
-    /// only so the perf baseline can measure the unoptimised path.
-    pub eq3_pruning: bool,
-    /// Memoise fitness on the exact chromosome bits. The elitist GA
-    /// re-scores every surviving elite each generation, and low
-    /// crossover/mutation rates mean many offspring are verbatim copies
-    /// of a parent — the memo returns their cached cost instead of
-    /// re-walking the silhouette. Evaluation is pure, so a hit is
-    /// always exactly the value a fresh evaluation would produce.
-    pub fitness_memo: bool,
-    /// Which Eq. 3 kernel to use (bit-identical results either way):
-    /// `Lanes` is the chunked SoA kernel with batched population
-    /// evaluation; `Scalar` keeps the genome-at-a-time warm-started
-    /// scan alive as the perf harness's reference. Only meaningful with
-    /// `eq3_pruning` — the unpruned baseline is always scalar.
-    /// (Deserialises to the default when absent, so configs serialised
-    /// before this field existed still load.)
-    pub eq3_kernel: Eq3Kernel,
 }
 
 impl Default for PoseProblemConfig {
@@ -113,9 +93,6 @@ impl Default for PoseProblemConfig {
             stride: 2,
             validity_fraction: 0.65,
             validity_samples: 5,
-            eq3_pruning: true,
-            fitness_memo: true,
-            eq3_kernel: Eq3Kernel::default(),
         }
     }
 }
@@ -124,7 +101,11 @@ impl Default for PoseProblemConfig {
 /// chromosome's genes. Purely an evaluation cache: since Eq. 3 is a
 /// pure function of the genes, a hit returns exactly what recomputation
 /// would, on any thread, in any order — parallelism and memoisation
-/// both preserve bit-identical GA trajectories.
+/// both preserve bit-identical GA trajectories. The elitist GA
+/// re-scores every surviving elite each generation, and low
+/// crossover/mutation rates make many offspring verbatim copies of a
+/// parent, so the memo answers those without re-walking the
+/// silhouette.
 #[derive(Default)]
 pub struct FitnessMemo {
     map: Mutex<HashMap<[u64; GENE_COUNT], f64, BuildChromoHasher>>,
@@ -477,20 +458,6 @@ impl PoseProblem {
         &self.config
     }
 
-    /// Evaluates Eq. 3 (plus the outside-silhouette penalty) for a
-    /// chromosome, honouring the configured pruning flag but bypassing
-    /// the memo.
-    fn evaluate_genome(&self, genome: &Pose) -> f64 {
-        if !self.config.eq3_pruning {
-            // The unpruned baseline is always the scalar reference scan.
-            self.fitness.evaluate_unpruned(genome, &self.dims)
-        } else if self.config.eq3_kernel == Eq3Kernel::Lanes {
-            self.fitness.evaluate_lanes(genome, &self.dims)
-        } else {
-            self.fitness.evaluate(genome, &self.dims)
-        }
-    }
-
     /// Fraction of axis samples of `pose`'s sticks that lie inside (or
     /// within one stick-thickness of) the silhouette.
     ///
@@ -527,45 +494,34 @@ impl PoseProblem {
 impl Problem for PoseProblem {
     type Genome = Pose;
 
+    /// Memo first, then the pruned lane kernel
+    /// ([`SilhouetteFitness::evaluate_lanes`]).
     fn fitness(&self, genome: &Pose) -> f64 {
-        if !self.config.fitness_memo {
-            return self.evaluate_genome(genome);
-        }
         let key = FitnessMemo::key(genome);
         if let Some(cached) = self.memo.get(&key) {
             return cached;
         }
-        let value = self.evaluate_genome(genome);
+        let value = self.fitness.evaluate_lanes(genome, &self.dims);
         self.memo.insert(key, value);
         value
     }
 
     /// Batched evaluation: memo lookups first, then the distinct
     /// missing chromosomes are projected and walked against the
-    /// prepared frame in one chunk-outer pass (`Eq3Kernel::Lanes`
-    /// only — the scalar kernel and the unpruned baseline keep the
-    /// genome-at-a-time reference path). Each distinct chromosome is
-    /// evaluated and memoised exactly once however often it repeats in
-    /// the batch, so `memo.len()` — the observability layer's
-    /// `unique_genomes` — counts exactly what the scalar path counts.
-    /// Values are bit-identical to per-genome `fitness` calls at any
-    /// batch split (property-tested).
+    /// prepared frame in one chunk-outer pass. Each distinct chromosome
+    /// is evaluated and memoised exactly once however often it repeats
+    /// in the batch, so `memo.len()` — the observability layer's
+    /// `unique_genomes` — counts distinct chromosomes, as per-genome
+    /// `fitness` calls would. Values are bit-identical to the unpruned
+    /// reference scan at any batch split (property-tested).
     fn fitness_batch(&self, genomes: &[Pose], out: &mut [f64]) {
-        if self.config.eq3_kernel != Eq3Kernel::Lanes || !self.config.eq3_pruning {
-            for (genome, slot) in genomes.iter().zip(out.iter_mut()) {
-                *slot = self.fitness(genome);
-            }
-            return;
-        }
         let mut scratch = self.scratch.take();
         scratch.pending.clear();
         for (i, genome) in genomes.iter().enumerate() {
             let key = FitnessMemo::key(genome);
-            if self.config.fitness_memo {
-                if let Some(cached) = self.memo.get(&key) {
-                    out[i] = cached;
-                    continue;
-                }
+            if let Some(cached) = self.memo.get(&key) {
+                out[i] = cached;
+                continue;
             }
             scratch.pending.push((key, i as u32));
         }
@@ -605,9 +561,7 @@ impl Problem for PoseProblem {
                 out[scratch.pending[end].1 as usize] = value;
                 end += 1;
             }
-            if self.config.fitness_memo {
-                self.memo.insert(key, value);
-            }
+            self.memo.insert(key, value);
             unique += 1;
             start = end;
         }
@@ -695,9 +649,6 @@ impl Problem for PoseProblem {
     }
 
     fn is_valid(&self, genome: &Pose) -> bool {
-        if !self.config.fitness_memo {
-            return self.inside_fraction(genome) >= self.config.validity_fraction;
-        }
         // Offspring of a converged population repeat chromosomes
         // bit-for-bit (typically >70% of validity checks in a tracking
         // run), so the boolean is memoised alongside the fitness value.
@@ -1066,50 +1017,6 @@ mod tests {
         assert_eq!(after, p.fitness_fn().evaluate(&mutated, &dims));
         assert_eq!(p.fitness(&pose), before);
         assert_eq!(p.memo().len(), 2);
-    }
-
-    #[test]
-    fn memo_disabled_never_caches() {
-        let (sil, dims, camera, pose) = setup();
-        let cfg = PoseProblemConfig {
-            fitness_memo: false,
-            ..PoseProblemConfig::default()
-        };
-        let p = PoseProblem::new(&sil, &dims, &camera, temporal(pose), cfg).unwrap();
-        let a = p.fitness(&pose);
-        let b = p.fitness(&pose);
-        assert_eq!(a, b);
-        assert!(p.memo().is_empty());
-        assert_eq!(p.memo().stats(), (0, 0));
-    }
-
-    #[test]
-    fn pruning_flag_changes_nothing_observable() {
-        let (sil, dims, camera, pose) = setup();
-        let pruned = PoseProblem::new(
-            &sil,
-            &dims,
-            &camera,
-            temporal(pose),
-            PoseProblemConfig::default(),
-        )
-        .unwrap();
-        let exhaustive = PoseProblem::new(
-            &sil,
-            &dims,
-            &camera,
-            temporal(pose),
-            PoseProblemConfig {
-                eq3_pruning: false,
-                ..PoseProblemConfig::default()
-            },
-        )
-        .unwrap();
-        let mut shifted = pose;
-        shifted.center.x += 0.03;
-        for g in [pose, shifted] {
-            assert_eq!(pruned.fitness(&g), exhaustive.fitness(&g));
-        }
     }
 
     #[test]

@@ -239,7 +239,7 @@ pub struct TrackResult {
     /// succeeded first try).
     pub rungs_attempted: usize,
     /// Distinct genomes evaluated across all rungs (fitness-memo
-    /// insertions; 0 when the memo is disabled). A set size, so it is
+    /// insertions; 0 when no GA ran). A set size, so it is
     /// invariant under the parallel fitness fan-out even though the
     /// racy hit/miss split is not.
     pub unique_genomes: usize,

@@ -210,7 +210,7 @@ proptest! {
     }
 
     #[test]
-    fn fitness_memo_is_never_stale_under_mutation(seed in any::<u64>()) {
+    fn memo_is_never_stale_under_mutation(seed in any::<u64>()) {
         // Mutating a chromosome changes its gene bits, so the memo must
         // treat it as a fresh key: the cached value for the parent stays
         // the parent's, and the mutant's value equals an uncached
@@ -297,40 +297,40 @@ proptest! {
     #[test]
     fn batched_problem_fitness_matches_scalar_kernel(
         seed in any::<u64>(),
-        memo in any::<bool>(),
         split in 1usize..11,
     ) {
-        // `PoseProblem::fitness_batch` with the lane kernel must agree
-        // bitwise with the scalar-kernel per-genome path, regardless of
-        // memoisation, in-batch duplicates, or how the population is
-        // split into batches (thread-chunk independence).
+        // `PoseProblem::fitness_batch` must agree bitwise with the
+        // unpruned scalar reference scan, regardless of memo hits,
+        // in-batch duplicates, or how the population is split into
+        // batches (thread-chunk independence).
         let (sil, dims, camera, _pose) = fixture();
-        let config = |kernel| PoseProblemConfig {
-            eq3_kernel: kernel,
-            fitness_memo: memo,
-            ..PoseProblemConfig::default()
+        let problem = || {
+            PoseProblem::new(
+                &sil, &dims, &camera, InitStrategy::FullRange, PoseProblemConfig::default(),
+            )
+            .unwrap()
         };
-        let lanes = PoseProblem::new(
-            &sil, &dims, &camera, InitStrategy::FullRange, config(slj_ga::fitness::Eq3Kernel::Lanes),
-        )
-        .unwrap();
-        let scalar = PoseProblem::new(
-            &sil, &dims, &camera, InitStrategy::FullRange, config(slj_ga::fitness::Eq3Kernel::Scalar),
-        )
-        .unwrap();
+        let whole_problem = problem();
+        let split_problem = problem();
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut genomes: Vec<Pose> = (0..10).map(|_| lanes.random_genome(&mut rng)).collect();
+        let mut genomes: Vec<Pose> = (0..10).map(|_| whole_problem.random_genome(&mut rng)).collect();
         genomes.push(genomes[3]);
         genomes.push(genomes[3]);
         let mut whole = vec![0.0f64; genomes.len()];
-        lanes.fitness_batch(&genomes, &mut whole);
+        whole_problem.fitness_batch(&genomes, &mut whole);
+        // A repeat of the same batch is answered from the memo.
+        let mut repeat = vec![0.0f64; genomes.len()];
+        whole_problem.fitness_batch(&genomes, &mut repeat);
         let mut chunked = vec![0.0f64; genomes.len()];
         for (gs, out) in genomes.chunks(split).zip(chunked.chunks_mut(split)) {
-            lanes.fitness_batch(gs, out);
+            split_problem.fitness_batch(gs, out);
         }
-        for ((genome, &value), &split_value) in genomes.iter().zip(&whole).zip(&chunked) {
-            prop_assert_eq!(value.to_bits(), scalar.fitness(genome).to_bits());
-            prop_assert_eq!(split_value.to_bits(), value.to_bits());
+        let reference = whole_problem.fitness_fn();
+        for (i, genome) in genomes.iter().enumerate() {
+            let expected = reference.evaluate_unpruned(genome, &dims).to_bits();
+            prop_assert_eq!(whole[i].to_bits(), expected);
+            prop_assert_eq!(repeat[i].to_bits(), expected);
+            prop_assert_eq!(chunked[i].to_bits(), expected);
         }
     }
 }

@@ -60,6 +60,10 @@ pub enum HttpError {
     Malformed(String),
     /// A body-bearing request without `Content-Length`: `411`.
     LengthRequired,
+    /// A `Content-Length` that is not a plain decimal byte count —
+    /// signs, spaces, other non-digits, a value past `usize` — or
+    /// several headers that disagree: `400`.
+    BadContentLength(String),
     /// Declared body over the cap: `413`.
     BodyTooLarge { declared: usize, max: usize },
 }
@@ -76,6 +80,7 @@ impl HttpError {
             HttpError::LengthRequired => {
                 Some((411, "POST requires a Content-Length header".to_owned()))
             }
+            HttpError::BadContentLength(why) => Some((400, format!("bad Content-Length: {why}"))),
             HttpError::BodyTooLarge { declared, max } => Some((
                 413,
                 format!("body of {declared} bytes exceeds the {max}-byte limit"),
@@ -146,15 +151,7 @@ pub fn read_request(stream: &mut Stream, limits: &Limits) -> Result<Request, Htt
 
     // Phase 2: the body, exactly Content-Length bytes. Anything the
     // header read over-fetched is the body's prefix.
-    let content_length = headers
-        .iter()
-        .find(|(k, _)| k == "content-length")
-        .map(|(_, v)| {
-            v.parse::<usize>()
-                .map_err(|_| HttpError::Malformed(format!("bad Content-Length '{v}'")))
-        })
-        .transpose()?;
-    let declared = match content_length {
+    let declared = match content_length(&headers)? {
         Some(n) => n,
         None if method == "POST" || method == "PUT" => return Err(HttpError::LengthRequired),
         None => 0,
@@ -182,6 +179,34 @@ pub fn read_request(stream: &mut Stream, limits: &Limits) -> Result<Request, Htt
         headers,
         body,
     })
+}
+
+/// The declared body length: every `Content-Length` header must be a
+/// plain decimal count (`usize::from_str` alone would let `+5` through)
+/// and, when the header repeats, all of them must agree — otherwise
+/// the gateway and a proxy in front of it could frame the body
+/// differently.
+fn content_length(headers: &[(String, String)]) -> Result<Option<usize>, HttpError> {
+    let mut declared = None;
+    for (_, v) in headers.iter().filter(|(k, _)| k == "content-length") {
+        if v.is_empty() || !v.bytes().all(|b| b.is_ascii_digit()) {
+            return Err(HttpError::BadContentLength(format!(
+                "'{v}' is not a byte count"
+            )));
+        }
+        let n = v
+            .parse::<usize>()
+            .map_err(|_| HttpError::BadContentLength(format!("'{v}' overflows")))?;
+        match declared {
+            Some(first) if first != n => {
+                return Err(HttpError::BadContentLength(format!(
+                    "conflicting values {first} and {n}"
+                )));
+            }
+            _ => declared = Some(n),
+        }
+    }
+    Ok(declared)
 }
 
 fn find_blank_line(buf: &[u8]) -> Option<usize> {
@@ -233,4 +258,148 @@ pub fn write_response(
     out.extend_from_slice(body);
     stream.write_all(&out)?;
     stream.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::os::unix::net::UnixStream;
+    use std::time::Duration;
+
+    const LIMITS: Limits = Limits {
+        max_header: 256,
+        max_body: 64,
+    };
+
+    /// Feeds `pieces` into one end of a socket pair (pausing between
+    /// them so each tends to arrive as its own read) and parses the
+    /// other end. The writer keeps its end open until the parse
+    /// returns, so a parser that waits for more bytes than were sent
+    /// hits the read deadline instead of seeing EOF.
+    fn parse(pieces: Vec<Vec<u8>>, limits: Limits) -> Result<Request, HttpError> {
+        let (mut client, server) = UnixStream::pair().unwrap();
+        server
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+        let writer = std::thread::spawn(move || {
+            for piece in pieces {
+                client.write_all(&piece).unwrap();
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let _ = done_rx.recv();
+        });
+        let result = read_request(&mut Stream::Unix(server), &limits);
+        drop(done_tx);
+        writer.join().unwrap();
+        result
+    }
+
+    fn parse_whole(raw: &str) -> Result<Request, HttpError> {
+        parse(vec![raw.as_bytes().to_vec()], LIMITS)
+    }
+
+    fn status(result: Result<Request, HttpError>) -> u16 {
+        match result {
+            Ok(r) => panic!("expected an error, parsed {r:?}"),
+            Err(e) => e.status().expect("a status to answer with").0,
+        }
+    }
+
+    const POST: &str = "POST /v1/jobs?wait_ms=10 HTTP/1.1\r\nHost: gw\r\n\
+                        Content-Type: application/octet-stream\r\n\
+                        Content-Length: 11\r\n\r\nhello world";
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn request_split_at_any_bytes_parses_identically(
+            cuts in proptest::collection::vec(0usize..POST.len(), 0..4),
+        ) {
+            let whole = parse_whole(POST).unwrap();
+            let mut cuts = cuts;
+            cuts.sort_unstable();
+            let mut pieces = Vec::new();
+            let mut start = 0;
+            for cut in cuts.into_iter().chain([POST.len()]) {
+                pieces.push(POST.as_bytes()[start..cut].to_vec());
+                start = cut;
+            }
+            let split = parse(pieces, LIMITS).unwrap();
+            prop_assert_eq!(&split.method, &whole.method);
+            prop_assert_eq!(&split.path, &whole.path);
+            prop_assert_eq!(&split.headers, &whole.headers);
+            prop_assert_eq!(&split.body, &whole.body);
+        }
+    }
+
+    #[test]
+    fn well_formed_post_parses() {
+        let r = parse_whole(POST).unwrap();
+        assert_eq!(r.method, "POST");
+        assert_eq!(r.path, "/v1/jobs?wait_ms=10");
+        assert_eq!(r.header("content-length"), Some("11"));
+        assert_eq!(r.body, b"hello world");
+    }
+
+    #[test]
+    fn header_cap_gives_431() {
+        let long = format!("GET / HTTP/1.1\r\nX-Pad: {}\r\n\r\n", "a".repeat(300));
+        assert_eq!(status(parse_whole(&long)), 431);
+        // No blank line ever arrives: the cap trips on the bytes read.
+        let endless = format!("GET / HTTP/1.1\r\nX-Pad: {}", "a".repeat(300));
+        assert_eq!(status(parse_whole(&endless)), 431);
+    }
+
+    #[test]
+    fn post_without_length_gives_411() {
+        assert_eq!(status(parse_whole("POST /v1/jobs HTTP/1.1\r\n\r\n")), 411);
+    }
+
+    #[test]
+    fn over_cap_length_gives_413_before_the_body_is_read() {
+        // No body bytes are sent and the writer stays connected: a
+        // parser that tried to read the body would time out (408).
+        let r = parse_whole("POST /v1/jobs HTTP/1.1\r\nContent-Length: 65\r\n\r\n");
+        assert!(matches!(
+            r,
+            Err(HttpError::BodyTooLarge {
+                declared: 65,
+                max: 64
+            })
+        ));
+        assert_eq!(status(r), 413);
+    }
+
+    #[test]
+    fn non_digit_overflowing_and_conflicting_lengths_give_400() {
+        for value in [
+            "+5",
+            "-5",
+            "5a",
+            "0x5",
+            "5 5",
+            "5,5",
+            "",
+            "99999999999999999999999",
+        ] {
+            let raw = format!("POST /v1/jobs HTTP/1.1\r\nContent-Length: {value}\r\n\r\nhello");
+            let r = parse_whole(&raw);
+            assert!(
+                matches!(r, Err(HttpError::BadContentLength(_))),
+                "Content-Length '{value}' must be refused: {r:?}"
+            );
+            assert_eq!(status(r), 400);
+        }
+        let twice =
+            "POST /v1/jobs HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 6\r\n\r\nhello!";
+        let r = parse_whole(twice);
+        assert!(matches!(r, Err(HttpError::BadContentLength(_))), "{r:?}");
+        assert_eq!(status(r), 400);
+        // Repeating the same value frames the body the same way.
+        let same = "POST /v1/jobs HTTP/1.1\r\nContent-Length: 5\r\ncontent-length: 5\r\n\r\nhello";
+        assert_eq!(parse_whole(same).unwrap().body, b"hello");
+    }
 }

@@ -146,10 +146,10 @@ pub struct TrackObs {
     /// split under parallel duplicate evaluation).
     pub evaluations: u64,
     /// Distinct genomes actually evaluated (memo insertions across all
-    /// rungs; 0 when the memo is disabled).
+    /// rungs; 0 when no GA ran).
     pub unique_genomes: u64,
     /// Fitness evaluations the memo avoided: requests minus distinct
-    /// genomes (0 when the memo is disabled).
+    /// genomes (0 when no GA ran).
     pub memo_saved: u64,
     /// Exact Eq. 3 stick evaluations when scoring the frame's final
     /// pose with the branch-and-bound path.

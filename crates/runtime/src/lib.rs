@@ -12,6 +12,11 @@
 //! every parallel code path in the workspace is required (and tested)
 //! to produce bit-identical output to its serial twin, so any value
 //! here is safe for reproducibility.
+//!
+//! Two mechanisms turn the count into threads: [`for_each_chunk`]
+//! splits one batch over short-lived scoped threads (GA fitness,
+//! segmentation frames, the eval matrix), and [`WorkerPool`] keeps
+//! threads parked between the session manager's ticks.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -35,6 +40,37 @@ pub fn available_threads() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
+}
+
+/// Splits `out` into contiguous chunks of `out.len().div_ceil(threads)`
+/// elements and calls `work(offset, chunk)` once per chunk, `offset`
+/// being the chunk's first index in `out`.
+///
+/// Each chunk runs on its own scoped thread and the call returns once
+/// all have finished. When that split would leave a single chunk
+/// (`threads <= 1`, or `out` has at most one element) the whole slice
+/// runs inline on the calling thread instead, with no spawn.
+///
+/// # Panics
+///
+/// Propagates a panic from any `work` call, after every thread has
+/// been joined.
+pub fn for_each_chunk<T, F>(threads: usize, out: &mut [T], work: F)
+where
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
+{
+    let chunk = out.len().div_ceil(threads.max(1));
+    if chunk >= out.len() {
+        work(0, out);
+        return;
+    }
+    let work = &work;
+    std::thread::scope(|scope| {
+        for (i, part) in out.chunks_mut(chunk).enumerate() {
+            scope.spawn(move || work(i * chunk, part));
+        }
+    });
 }
 
 /// How many worker threads a stage may use.
@@ -177,6 +213,58 @@ mod tests {
             let back: Parallelism = serde_json::from_str(&json).unwrap();
             assert_eq!(back, p);
         }
+    }
+
+    #[test]
+    fn workers_can_borrow_and_mutate_disjoint_chunks() {
+        let mut data = vec![0u64; 64];
+        for_each_chunk(4, &mut data, |offset, chunk| {
+            for (i, slot) in chunk.iter_mut().enumerate() {
+                *slot = (offset + i) as u64;
+            }
+        });
+        assert_eq!(data, (0..64).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn chunks_are_contiguous_and_div_ceil_sized() {
+        let calls = std::sync::Mutex::new(Vec::new());
+        let mut data = [0u8; 10];
+        for_each_chunk(4, &mut data, |offset, chunk| {
+            let thread = std::thread::current().id();
+            calls.lock().unwrap().push((offset, chunk.len(), thread));
+        });
+        let mut calls = calls.into_inner().unwrap();
+        calls.sort_by_key(|c| c.0);
+        let spans: Vec<_> = calls.iter().map(|c| (c.0, c.1)).collect();
+        assert_eq!(spans, [(0, 3), (3, 3), (6, 3), (9, 1)]);
+        assert!(calls.iter().all(|c| c.2 != std::thread::current().id()));
+    }
+
+    #[test]
+    fn single_chunk_runs_inline() {
+        let caller = std::thread::current().id();
+        for (threads, len) in [(1, 5), (0, 5), (4, 1), (4, 0)] {
+            let mut data = vec![0u8; len];
+            let mut seen = std::sync::Mutex::new(Vec::new());
+            for_each_chunk(threads, &mut data, |offset, chunk| {
+                seen.lock()
+                    .unwrap()
+                    .push((offset, chunk.len(), std::thread::current().id()));
+            });
+            assert_eq!(seen.get_mut().unwrap().as_slice(), [(0, len, caller)]);
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn worker_panic_propagates() {
+        let mut data = [0u8; 4];
+        for_each_chunk(2, &mut data, |offset, _| {
+            if offset > 0 {
+                panic!("worker down");
+            }
+        });
     }
 
     #[test]

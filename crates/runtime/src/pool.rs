@@ -1,20 +1,20 @@
 //! A persistent worker pool with a per-dispatch epoch barrier.
 //!
-//! The serve layer used to re-spawn a crossbeam scoped fan-out on every
-//! supervisor tick; at high tick rates the thread create/join cost
-//! dominates the (small) per-tick work. [`WorkerPool`] keeps the
+//! Re-spawning a scoped fan-out ([`crate::for_each_chunk`]) on every
+//! supervisor tick would let thread create/join dominate the (small)
+//! per-tick work at high tick rates. [`WorkerPool`] keeps the
 //! workers alive across dispatches: [`WorkerPool::run`] publishes one
 //! job under a mutex, bumps an epoch, and wakes every worker; each
 //! worker runs its shard (or skips, when there are fewer shards than
 //! workers this round), decrements a `remaining` counter, and the last
 //! one wakes the caller. `run` does not return until every worker has
 //! checked in, so the job closure may safely borrow the caller's stack
-//! — the same guarantee a crossbeam scope gives, without the per-call
+//! — the same guarantee a thread scope gives, without the per-call
 //! spawn.
 //!
 //! Determinism: the pool never decides *what* a shard contains — the
 //! caller fixes the shard → work assignment before dispatch (the serve
-//! manager uses the same contiguous session chunks as the spawn path),
+//! manager cuts sessions into contiguous `div_ceil` chunks),
 //! so which OS thread executes a shard can never change any output.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -240,10 +240,11 @@ impl SegmentPipeline {
     /// Runs all five steps over a clip.
     ///
     /// When [`PipelineConfig::parallelism`] resolves to more than one
-    /// thread, the per-frame stages fan out over crossbeam scoped
-    /// threads in contiguous frame chunks. Frame k only ever reads the
-    /// shared background estimate and input frames k and k−1, so the
-    /// parallel result is bit-identical to the serial one (tested).
+    /// thread, the per-frame stages fan out over scoped threads in
+    /// contiguous frame chunks ([`slj_runtime::for_each_chunk`]).
+    /// Frame k only ever reads the shared background estimate and input
+    /// frames k and k−1, so the parallel result is bit-identical to the
+    /// serial one (tested).
     ///
     /// # Errors
     ///
@@ -292,43 +293,25 @@ impl SegmentPipeline {
         prepared: Arc<PreparedBackground>,
     ) -> Result<SegmentationResult, SegmentError> {
         let inputs = video.frames();
-        let threads = self.config.parallelism.threads().min(inputs.len());
-        let frames = if threads <= 1 {
-            let mut segmenter = FrameSegmenter::new(&self.config, prepared);
-            let mut frames = Vec::with_capacity(inputs.len());
-            for (k, frame) in inputs.iter().enumerate() {
-                frames.push(segmenter.segment(frame, previous_input(inputs, k))?);
+        // Each chunk of frames gets a private `FrameSegmenter` (its
+        // scratch arena is reused for every frame of the chunk); the
+        // shared prepared background is read-only. Write targets are
+        // disjoint and results land in frame order, so only throughput
+        // depends on the thread count.
+        let mut slots: Vec<Option<Result<FrameStages, SegmentError>>> = Vec::new();
+        slots.resize_with(inputs.len(), || None);
+        let config = &self.config;
+        slj_runtime::for_each_chunk(config.parallelism.threads(), &mut slots, |offset, out| {
+            let mut segmenter = FrameSegmenter::new(config, Arc::clone(&prepared));
+            for (i, slot) in out.iter_mut().enumerate() {
+                let k = offset + i;
+                *slot = Some(segmenter.segment(&inputs[k], previous_input(inputs, k)));
             }
-            frames
-        } else {
-            // Each worker owns one contiguous chunk of the output and a
-            // private `FrameSegmenter` (its scratch arena is reused for
-            // every frame of the chunk); the shared prepared background
-            // is read-only. Write targets are disjoint and results land
-            // in frame order, so only throughput depends on the thread
-            // count.
-            let mut slots: Vec<Option<Result<FrameStages, SegmentError>>> = Vec::new();
-            slots.resize_with(inputs.len(), || None);
-            let chunk = inputs.len().div_ceil(threads);
-            let config = &self.config;
-            crossbeam::scope(|scope| {
-                for (ci, out) in slots.chunks_mut(chunk).enumerate() {
-                    let prepared = Arc::clone(&prepared);
-                    scope.spawn(move |_| {
-                        let mut segmenter = FrameSegmenter::new(config, prepared);
-                        for (i, slot) in out.iter_mut().enumerate() {
-                            let k = ci * chunk + i;
-                            *slot = Some(segmenter.segment(&inputs[k], previous_input(inputs, k)));
-                        }
-                    });
-                }
-            })
-            .expect("segmentation worker panicked");
-            slots
-                .into_iter()
-                .map(|s| s.expect("every frame processed"))
-                .collect::<Result<Vec<_>, _>>()?
-        };
+        });
+        let frames = slots
+            .into_iter()
+            .map(|s| s.expect("every frame processed"))
+            .collect::<Result<Vec<_>, _>>()?;
 
         let final_masks: Vec<_> = frames.iter().map(|s| &s.final_mask).collect();
         let quality = quality::assess_masks(&final_masks, &self.config.quality);

@@ -7,6 +7,11 @@
 //! the same frames is asserted to perform **zero** allocations per
 //! frame — for both hole-fill kernels and with ghost suppression and
 //! shadow removal enabled.
+//!
+//! The counter is process-global, so every test holds [`SERIAL`] from
+//! its first allocation to its last assertion: a sibling test's
+//! warm-up can never land inside another test's measured window,
+//! whatever `--test-threads` is.
 
 use slj_motion::JumpConfig;
 use slj_segment::background::{
@@ -17,7 +22,16 @@ use slj_segment::segmenter::{FrameSegmenter, PreparedBackground};
 use slj_video::{SceneConfig, SyntheticJump};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+/// Serialises the tests of this binary (see the module docs).
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Takes [`SERIAL`]; a sibling's failed assertion does not poison the
+/// rest of the suite.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// System allocator plus a global allocation counter.
 struct CountingAllocator;
@@ -54,6 +68,7 @@ fn allocations() -> usize {
 }
 
 fn assert_steady_state_is_allocation_free(config: PipelineConfig, label: &str) {
+    let _serial = serial();
     let jump = SyntheticJump::generate(
         &SceneConfig::default(),
         &JumpConfig {
@@ -97,6 +112,7 @@ fn background_estimation_reuse_is_allocation_free() {
     // Both update modes through `estimate_into` with warmed output +
     // scratch buffers: steady-state re-estimation (the streaming
     // analyzer's warm-up refresh pattern) must not touch the heap.
+    let _serial = serial();
     let jump = SyntheticJump::generate(
         &SceneConfig::default(),
         &JumpConfig {

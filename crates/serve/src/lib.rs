@@ -51,5 +51,5 @@ pub mod session;
 
 pub use chaos::ServiceFaultPlan;
 pub use events::{render_event, render_events, EventKind, HealthEvent, RestartMode, SERVE_SCHEMA};
-pub use manager::{DeadlineClock, OfferReply, ServeConfig, ServeError, SessionManager, WorkerMode};
+pub use manager::{DeadlineClock, OfferReply, ServeConfig, ServeError, SessionManager};
 pub use session::{SessionConfig, SessionId, SessionState};

@@ -54,8 +54,8 @@ pub(crate) fn track_obs(t: &TrackResult) -> TrackObs {
         generations: t.generations_run as u64,
         evaluations,
         unique_genomes,
-        // A set-size delta: only meaningful while the memo is enabled
-        // (unique_genomes > 0); without the memo every request is an
+        // A set-size delta: only meaningful once the memo has entries
+        // (unique_genomes > 0); with none, every request is an
         // evaluation and nothing is saved.
         memo_saved: if unique_genomes == 0 {
             0

@@ -26,7 +26,7 @@ use slj::JumpAnalysis;
 use slj_runtime::BackoffConfig;
 use slj_serve::{
     DeadlineClock, EventKind, HealthEvent, OfferReply, RestartMode, ServeConfig, ServeError,
-    ServiceFaultPlan, SessionConfig, SessionManager, SessionState, WorkerMode,
+    ServiceFaultPlan, SessionConfig, SessionManager, SessionState,
 };
 
 fn streamable_fast() -> AnalyzerConfig {
@@ -79,8 +79,6 @@ fn serve_config() -> ServeConfig {
             seed: 0,
         },
         parallelism: Parallelism::Serial,
-        worker_mode: WorkerMode::Pool,
-        slot_pool: true,
     }
 }
 
@@ -492,7 +490,7 @@ fn deadline_overruns_escalate_policy_then_trip_the_breaker() {
 /// One churn soak: `WAVES` waves of sessions through a
 /// `max_sessions`-bounded manager. Every wave closes, has its results
 /// taken and is retired before the next opens, so waves after the
-/// first run entirely in recycled slots when `slot_pool` is on. One
+/// first run entirely in recycled slots. One
 /// session per wave is poisoned, so the checkpoint-restart ladder also
 /// executes inside a recycled slot. Returns the event stream, every
 /// session's result, every session's metrics rendering and the
@@ -500,7 +498,6 @@ fn deadline_overruns_escalate_policy_then_trip_the_breaker() {
 #[allow(clippy::type_complexity)]
 fn churn_run(
     parallelism: Parallelism,
-    slot_pool: bool,
     jump: &SyntheticJump,
     camera: &Camera,
 ) -> (
@@ -521,7 +518,6 @@ fn churn_run(
     let mut manager = SessionManager::new(ServeConfig {
         max_sessions: PER_WAVE,
         parallelism,
-        slot_pool,
         ..serve_config()
     })
     .with_chaos(chaos);
@@ -561,7 +557,7 @@ fn churn_run(
     assert_eq!(manager.session_ids().count(), 0);
     assert_eq!(
         manager.pooled_slots(),
-        if slot_pool { PER_WAVE } else { 0 },
+        PER_WAVE,
         "slot pool holds at most one slot per capacity unit"
     );
     (
@@ -580,17 +576,40 @@ fn session_churn_reuses_slots_byte_identically_and_bounds_metrics() {
     let jump = SyntheticJump::generate(&scene, &JumpConfig::default(), 97);
     let reference = reference_run(&streamable_fast(), &jump, &scene.camera);
 
-    let pooled = churn_run(Parallelism::Serial, true, &jump, &scene.camera);
-    // Recycled slots must be invisible to results: a run with pooling
-    // off (every session builds fresh state) is byte-identical.
-    let fresh = churn_run(Parallelism::Serial, false, &jump, &scene.camera);
-    assert_eq!(pooled.0, fresh.0, "recycled slots changed the events");
-    assert_eq!(pooled.1, fresh.1, "recycled slots changed the analyses");
-    assert_eq!(pooled.2, fresh.2, "recycled slots changed the metrics");
-    assert_eq!(pooled.3, fresh.3, "recycled slots changed the aggregate");
+    let pooled = churn_run(Parallelism::Serial, &jump, &scene.camera);
+    // Recycled slots must be invisible to results: waves 2 and 3 run in
+    // the slots wave 1 built fresh, and replay wave 1 session for
+    // session — the same event trail in the same interleaving, the same
+    // analyses and the same metrics.
+    let wave_trail = |wave: usize| -> Vec<(usize, &EventKind)> {
+        pooled
+            .0
+            .iter()
+            .filter(|e| e.session / PER_WAVE == wave)
+            .map(|e| (e.session % PER_WAVE, &e.kind))
+            .collect()
+    };
+    for wave in 1..WAVES {
+        assert_eq!(
+            wave_trail(wave),
+            wave_trail(0),
+            "recycled wave {wave} changed the events"
+        );
+        for lane in 0..PER_WAVE {
+            let id = wave * PER_WAVE + lane;
+            assert_eq!(
+                pooled.1[id], pooled.1[lane],
+                "recycled session {id} analysis"
+            );
+            assert_eq!(
+                pooled.2[id], pooled.2[lane],
+                "recycled session {id} metrics"
+            );
+        }
+    }
     // And churn must stay deterministic across the fan-out settings.
     for parallelism in [Parallelism::Fixed(4), Parallelism::Auto] {
-        let run = churn_run(parallelism, true, &jump, &scene.camera);
+        let run = churn_run(parallelism, &jump, &scene.camera);
         assert_eq!(pooled.0, run.0, "{parallelism}: events differ");
         assert_eq!(pooled.1, run.1, "{parallelism}: analyses differ");
         assert_eq!(pooled.2, run.2, "{parallelism}: metrics differ");

@@ -1,19 +1,20 @@
-//! Session-churn allocation regression test: with the slot pool on,
-//! steady-state session turnover (open → stream a clip → finish →
-//! retire → open the next into the recycled slot) performs **zero
-//! large allocations** — frame buffers, arenas, background scratch and
+//! Session-churn allocation regression test: steady-state session
+//! turnover (open → stream a clip → finish → retire → open the next
+//! into the recycled slot) performs **zero large allocations** — frame buffers, arenas, background scratch and
 //! GA state all come back out of the retired slot.
 //!
 //! "Large" is a size threshold, not a count of every allocation: small
 //! bookkeeping (result vectors, map nodes, event payloads) is allowed
 //! and bounded, while anything frame-sized or bigger must be recycled.
 //!
-//! Like `serve_overload.rs`, the counting `#[global_allocator]` is
-//! process-global, so this file is its own test binary with a single
-//! `#[test]`.
+//! The counter is process-global, so every test holds [`SERIAL`] from
+//! its first allocation to its last assertion: a sibling test's
+//! warm-up can never land inside another test's measured window,
+//! whatever `--test-threads` is.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use slj::prelude::*;
 use slj_ga::{GaConfig, PoseProblemConfig};
@@ -103,6 +104,15 @@ fn large_allocations() -> usize {
     LARGE_ALLOCATIONS.load(Ordering::Relaxed)
 }
 
+/// Serialises the tests of this binary (see the module docs).
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Takes [`SERIAL`]; a sibling's failed assertion does not poison the
+/// rest of the suite.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 fn recent_sizes() -> Vec<usize> {
     RECENT_SIZES
         .iter()
@@ -166,6 +176,7 @@ fn run_cycle(
 fn session_churn_steady_state_does_no_large_allocations() {
     const WARM: usize = 2;
     const CYCLES: usize = 100;
+    let _serial = serial();
 
     let scene = SceneConfig {
         camera: Camera::compact(),

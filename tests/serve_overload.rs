@@ -3,12 +3,15 @@
 //! at `queue_depth` no matter how hard a producer bursts.
 //!
 //! This is the service-layer twin of `crates/segment/tests/zero_alloc.rs`
-//! and borrows its counting `#[global_allocator]`. The allocator is
-//! process-global, so this file is its own test binary with a single
-//! `#[test]` — concurrent test threads would pollute the counter.
+//! and borrows its counting `#[global_allocator]` and its lock.
+//! The counter is process-global, so every test holds [`SERIAL`] from
+//! its first allocation to its last assertion: a sibling test's
+//! warm-up can never land inside another test's measured window,
+//! whatever `--test-threads` is.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use slj::prelude::*;
 use slj_serve::{DeadlineClock, OfferReply, ServeConfig, SessionConfig, SessionManager};
@@ -47,10 +50,20 @@ fn allocations() -> usize {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
+/// Serialises the tests of this binary (see the module docs).
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Takes [`SERIAL`]; a sibling's failed assertion does not poison the
+/// rest of the suite.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[test]
 fn full_queue_sheds_bursts_without_allocating() {
     const QUEUE_DEPTH: usize = 2;
     const BURST: u64 = 100;
+    let _serial = serial();
 
     let scene = SceneConfig {
         camera: Camera::compact(),
