@@ -15,7 +15,6 @@
 
 use std::collections::VecDeque;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::time::Duration;
@@ -29,6 +28,7 @@ use slj_serve::{
 };
 use slj_video::{Camera, Frame};
 
+use crate::server::DrainSignal;
 use crate::wire::{codes, AckStatus, WireError, WireMsg, DEFAULT_MAX_FRAME, WIRE_SCHEMA};
 
 /// Everything a client must supply to open a session — the same
@@ -245,9 +245,9 @@ pub(crate) struct Engine {
     config: DaemonConfig,
     manager: SessionManager,
     requests: Receiver<Request>,
-    /// Shared with the acceptors and [`DaemonHandle`]: once set, stop
-    /// accepting connections and drain.
-    drain_flag: Arc<AtomicBool>,
+    /// Shared with the acceptors and [`DaemonHandle`]: once raised,
+    /// stop accepting connections and drain.
+    drain: Arc<DrainSignal>,
     conns: Vec<ConnState>,
     sessions: Vec<SessionMeta>,
     stats: DaemonStats,
@@ -258,14 +258,14 @@ impl Engine {
     pub(crate) fn new(
         config: DaemonConfig,
         requests: Receiver<Request>,
-        drain_flag: Arc<AtomicBool>,
+        drain: Arc<DrainSignal>,
     ) -> Self {
         let manager = SessionManager::new(config.serve);
         Engine {
             config,
             manager,
             requests,
-            drain_flag,
+            drain,
             conns: Vec::new(),
             sessions: Vec::new(),
             stats: DaemonStats::default(),
@@ -495,7 +495,7 @@ impl Engine {
             }
             WireMsg::Drain => {
                 self.manager.drain();
-                self.drain_flag.store(true, Ordering::SeqCst);
+                self.drain.raise();
                 self.must_deliver(
                     conn,
                     WireMsg::Draining {
@@ -569,7 +569,7 @@ impl Engine {
     /// Parses an open request, replying `Rejected` (and returning
     /// `None`) when it does not parse.
     fn parse_open(&mut self, conn: u64, config_json: &str) -> Option<OpenRequest> {
-        if self.drain_flag.load(Ordering::SeqCst) {
+        if self.drain.is_raised() {
             self.manager.drain();
         }
         match serde_json::from_str(config_json) {
@@ -898,10 +898,10 @@ impl Engine {
                 Err(RecvTimeoutError::Disconnected) => {
                     // All acceptors and readers are gone; drain what's
                     // left and exit.
-                    self.drain_flag.store(true, Ordering::SeqCst);
+                    self.drain.raise();
                 }
             }
-            if self.drain_flag.load(Ordering::SeqCst) {
+            if self.drain.is_raised() {
                 self.manager.drain();
             }
             // 2. Feed engine-owned clip sessions (OPEN_CLIP) as far as

@@ -1,8 +1,11 @@
 //! Listener/acceptor/reader/writer threads around the
 //! [`Engine`](crate::engine): everything that touches a socket.
 //!
-//! One acceptor thread per listener polls a nonblocking accept loop so
-//! it can notice the drain flag promptly; each accepted connection gets
+//! One acceptor thread per listener blocks in `accept`. Whoever raises
+//! the drain flag — [`DaemonHandle::drain`], or the engine on a wire
+//! `DRAIN` — wakes it by dialing the listener's own address once (an
+//! [`AcceptWake`]), so a drain costs no polling interval and an idle
+//! daemon burns no wakeups. Each accepted connection gets
 //! a reader thread (socket → decoder → bounded request channel) and a
 //! writer thread (bounded reply channel → encoder → socket). Readers
 //! *block* on the request channel when the engine is saturated — that
@@ -11,12 +14,12 @@
 //! protocol promises instead of unbounded buffering.
 
 use std::io::{self, ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -24,8 +27,12 @@ use crate::addr::Addr;
 use crate::engine::{DaemonConfig, DaemonStats, Engine, Out, Request};
 use crate::wire::Decoder;
 
-/// How long acceptors sleep between nonblocking accept polls.
-const ACCEPT_POLL: Duration = Duration::from_millis(20);
+/// How long an acceptor backs off after a failed `accept` (EMFILE and
+/// the like) before trying again.
+pub const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(20);
+
+/// How long a wake dial waits to connect, and pauses before retrying.
+const WAKE_RETRY: Duration = Duration::from_millis(10);
 
 /// One live transport stream: the TCP/UDS split stops here. Public so
 /// other front ends (the HTTP gateway) can serve the same dual
@@ -166,24 +173,11 @@ impl Listener {
         }
     }
 
-    /// Switches the accept loop between blocking and polling modes.
+    /// Blocks until one connection arrives and accepts it.
     ///
     /// # Errors
     ///
-    /// The underlying socket's setter failure.
-    pub fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
-        match self {
-            Listener::Tcp(l) => l.set_nonblocking(nonblocking),
-            Listener::Unix(l, _) => l.set_nonblocking(nonblocking),
-        }
-    }
-
-    /// Accepts one connection.
-    ///
-    /// # Errors
-    ///
-    /// `WouldBlock` in nonblocking mode with nobody waiting, or any
-    /// accept failure.
+    /// Any accept failure (EMFILE, ENOBUFS, ...).
     pub fn accept(&self) -> io::Result<Stream> {
         match self {
             Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
@@ -200,6 +194,126 @@ impl Listener {
     }
 }
 
+/// Wakes an acceptor blocked in [`Listener::accept`] once its stop flag
+/// is up: the raiser dials the listener's own address, the accept
+/// returns, and the acceptor sees the flag. Shared between the raisers
+/// and the acceptor, which [`close`](AcceptWake::close)s it on exit.
+#[derive(Debug)]
+pub struct AcceptWake {
+    dial: Dial,
+    /// Cleared by the acceptor as it stops; a wake is then a no-op.
+    open: AtomicBool,
+}
+
+/// Where a wake dials: the bound address, with a wildcard TCP host
+/// replaced by loopback of the same family.
+#[derive(Debug)]
+enum Dial {
+    Tcp(SocketAddr),
+    Unix(PathBuf),
+}
+
+impl AcceptWake {
+    /// The wake for `listener`.
+    ///
+    /// # Errors
+    ///
+    /// The TCP listener's `local_addr` failure.
+    pub fn new(listener: &Listener) -> io::Result<AcceptWake> {
+        let dial = match listener {
+            Listener::Tcp(l) => {
+                let mut at = l.local_addr()?;
+                if at.ip().is_unspecified() {
+                    at.set_ip(match at.ip() {
+                        IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                        IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+                    });
+                }
+                Dial::Tcp(at)
+            }
+            Listener::Unix(_, path) => Dial::Unix(path.clone()),
+        };
+        Ok(AcceptWake {
+            dial,
+            open: AtomicBool::new(true),
+        })
+    }
+
+    /// Dials until one connection lands or the acceptor has stopped.
+    /// A failed dial is retried after a short pause, never dropped: a
+    /// dropped wake would leave `join` waiting on an accept that no
+    /// one completes.
+    pub fn wake(&self) {
+        while self.open.load(Ordering::SeqCst) {
+            let dialed = match &self.dial {
+                Dial::Tcp(at) => TcpStream::connect_timeout(at, WAKE_RETRY).map(drop),
+                Dial::Unix(path) => UnixStream::connect(path).map(drop),
+            };
+            if dialed.is_ok() {
+                return;
+            }
+            thread::sleep(WAKE_RETRY);
+        }
+    }
+
+    /// Marks the acceptor stopped; called by the acceptor itself while
+    /// it still holds the listener.
+    pub fn close(&self) {
+        self.open.store(false, Ordering::SeqCst);
+    }
+}
+
+/// The daemon-wide drain flag together with the wakes for every
+/// acceptor, so raising it takes effect at once.
+#[derive(Debug)]
+pub(crate) struct DrainSignal {
+    raised: AtomicBool,
+    wakes: Arc<Vec<AcceptWake>>,
+    /// The thread dialing the wakes, joined by [`DaemonHandle::join`].
+    waker: Mutex<Option<JoinHandle<()>>>,
+}
+
+impl DrainSignal {
+    fn new(wakes: Vec<AcceptWake>) -> Self {
+        DrainSignal {
+            raised: AtomicBool::new(false),
+            wakes: Arc::new(wakes),
+            waker: Mutex::new(None),
+        }
+    }
+
+    /// Whether a drain has been requested.
+    pub(crate) fn is_raised(&self) -> bool {
+        self.raised.load(Ordering::SeqCst)
+    }
+
+    /// Requests the drain and wakes every acceptor (once, however
+    /// often it is called). The dials run on their own thread: the
+    /// engine raises this flag, and an acceptor may be blocked handing
+    /// the engine a connection, so the engine must never wait on a
+    /// dial.
+    pub(crate) fn raise(&self) {
+        if self.raised.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        if !self.wakes.iter().any(|w| w.open.load(Ordering::SeqCst)) {
+            return;
+        }
+        // Held across the spawn, so `join` cannot look before the
+        // handle is stored.
+        let mut slot = self.waker.lock().expect("waker slot poisoned");
+        let wakes = Arc::clone(&self.wakes);
+        match thread::Builder::new()
+            .name("slj-daemon-wake".to_owned())
+            .spawn(move || wakes.iter().for_each(AcceptWake::wake))
+        {
+            Ok(waker) => *slot = Some(waker),
+            // No thread to spare: wake inline rather than not at all.
+            Err(_) => self.wakes.iter().for_each(AcceptWake::wake),
+        }
+    }
+}
+
 /// The daemon entry point: bind listeners, start the engine, accept.
 pub struct Daemon;
 
@@ -209,7 +323,7 @@ pub struct DaemonHandle {
     /// The addresses actually bound — with OS-assigned ports resolved,
     /// so `tcp:127.0.0.1:0` comes back as the real endpoint to dial.
     pub addrs: Vec<Addr>,
-    drain_flag: Arc<AtomicBool>,
+    drain: Arc<DrainSignal>,
     engine: JoinHandle<DaemonStats>,
     acceptors: Vec<JoinHandle<()>>,
     unix_paths: Vec<PathBuf>,
@@ -219,13 +333,13 @@ impl DaemonHandle {
     /// Begins a graceful drain: listeners stop accepting, in-flight
     /// sessions finish, then the engine exits. Idempotent.
     pub fn drain(&self) {
-        self.drain_flag.store(true, Ordering::SeqCst);
+        self.drain.raise();
     }
 
     /// Whether a drain has been requested (by this handle or a wire
     /// `DRAIN`).
     pub fn is_draining(&self) -> bool {
-        self.drain_flag.load(Ordering::SeqCst)
+        self.drain.is_raised()
     }
 
     /// Waits for the drain to complete and returns the engine's
@@ -234,6 +348,11 @@ impl DaemonHandle {
     pub fn join(self) -> DaemonStats {
         for acceptor in self.acceptors {
             let _ = acceptor.join();
+        }
+        // Every acceptor is gone, so the wake dials have ended too.
+        let waker = self.drain.waker.lock().expect("waker slot poisoned").take();
+        if let Some(waker) = waker {
+            let _ = waker.join();
         }
         let stats = self.engine.join().unwrap_or_default();
         for path in &self.unix_paths {
@@ -269,7 +388,11 @@ impl Daemon {
             listeners.push(listener);
         }
 
-        let drain_flag = Arc::new(AtomicBool::new(false));
+        let wakes = listeners
+            .iter()
+            .map(AcceptWake::new)
+            .collect::<io::Result<_>>()?;
+        let drain = Arc::new(DrainSignal::new(wakes));
         let (request_tx, request_rx) = sync_channel::<Request>(config.request_depth);
         let reply_depth = config.reply_depth;
         let read_timeout = Duration::from_millis(config.read_timeout_ms);
@@ -279,18 +402,18 @@ impl Daemon {
 
         let engine = {
             let requests = request_rx;
-            let flag = Arc::clone(&drain_flag);
+            let drain = Arc::clone(&drain);
             thread::Builder::new()
                 .name("slj-daemon-engine".to_owned())
-                .spawn(move || Engine::new(config, requests, flag).run())
+                .spawn(move || Engine::new(config, requests, drain).run())
                 .expect("spawn engine thread")
         };
 
         let conn_ids = Arc::new(AtomicU64::new(0));
         let mut acceptors = Vec::new();
-        for listener in listeners {
+        for (index, listener) in listeners.into_iter().enumerate() {
             let requests = request_tx.clone();
-            let flag = Arc::clone(&drain_flag);
+            let drain = Arc::clone(&drain);
             let conn_ids = Arc::clone(&conn_ids);
             let handle = thread::Builder::new()
                 .name("slj-daemon-accept".to_owned())
@@ -298,7 +421,8 @@ impl Daemon {
                     accept_loop(
                         listener,
                         requests,
-                        flag,
+                        &drain,
+                        index,
                         conn_ids,
                         reply_depth,
                         read_timeout,
@@ -316,7 +440,7 @@ impl Daemon {
 
         Ok(DaemonHandle {
             addrs: bound,
-            drain_flag,
+            drain,
             engine,
             acceptors,
             unix_paths,
@@ -328,7 +452,8 @@ impl Daemon {
 fn accept_loop(
     listener: Listener,
     requests: SyncSender<Request>,
-    drain_flag: Arc<AtomicBool>,
+    drain: &DrainSignal,
+    index: usize,
     conn_ids: Arc<AtomicU64>,
     reply_depth: usize,
     read_timeout: Duration,
@@ -336,17 +461,12 @@ fn accept_loop(
     idle_timeouts: u32,
     max_frame: usize,
 ) {
-    listener
-        .set_nonblocking(true)
-        .expect("nonblocking listener");
     loop {
-        if drain_flag.load(Ordering::SeqCst) {
-            if let Some(path) = listener.unix_path() {
-                let _ = std::fs::remove_file(path);
-            }
-            return;
+        let accepted = listener.accept();
+        if drain.is_raised() {
+            break;
         }
-        match listener.accept() {
+        match accepted {
             Ok(stream) => {
                 let conn = conn_ids.fetch_add(1, Ordering::SeqCst);
                 if spawn_connection(
@@ -362,12 +482,15 @@ fn accept_loop(
                 .is_err()
                 {
                     // The engine is gone; nothing left to accept for.
-                    return;
+                    break;
                 }
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
-            Err(_) => thread::sleep(ACCEPT_POLL),
+            Err(_) => thread::sleep(ACCEPT_ERROR_BACKOFF),
         }
+    }
+    drain.wakes[index].close();
+    if let Some(path) = listener.unix_path() {
+        let _ = std::fs::remove_file(path);
     }
 }
 

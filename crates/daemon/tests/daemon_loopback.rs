@@ -618,3 +618,52 @@ fn retire_mid_stream_recycles_into_an_identical_fresh_session() {
     assert_eq!(stats.sessions_aborted, 1, "the retired session was aborted");
     assert_eq!(stats.sessions_finished, 1);
 }
+
+/// Joins `handle` on a helper thread, failing the test if the join has
+/// not returned within a minute: a deadlock check, not a timing bound.
+fn join_or_fail(handle: slj_daemon::DaemonHandle) -> slj_daemon::DaemonStats {
+    let (done, joined) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done.send(handle.join());
+    });
+    joined
+        .recv_timeout(Duration::from_secs(60))
+        .expect("join never returned: an acceptor stayed blocked in accept")
+}
+
+/// Where a client dials a bound address: a wildcard host on loopback.
+fn dialable(addr: &Addr) -> Addr {
+    match addr {
+        Addr::Tcp(hostport) => Addr::Tcp(hostport.replace("0.0.0.0", "127.0.0.1")),
+        unix => unix.clone(),
+    }
+}
+
+#[test]
+fn idle_daemon_drains_and_joins_on_every_transport() {
+    // Acceptors block in `accept`; with no traffic at all, whoever
+    // raises the drain must wake each of them: through the handle, or
+    // through a wire DRAIN arriving on any one of the three listeners.
+    let listen = |tag: &str| {
+        vec![
+            Addr::Unix(uds_path(tag)),
+            Addr::Tcp("127.0.0.1:0".to_owned()),
+            Addr::Tcp("0.0.0.0:0".to_owned()),
+        ]
+    };
+    let handle = Daemon::start(&listen("idle-handle"), daemon_config()).unwrap();
+    handle.drain();
+    let stats = join_or_fail(handle);
+    assert_eq!(stats.connections, 0, "the wake dial is not a connection");
+    assert!(!uds_path("idle-handle").exists());
+
+    for over in 0..3 {
+        let tag = format!("idle-wire-{over}");
+        let handle = Daemon::start(&listen(&tag), daemon_config()).unwrap();
+        let in_flight = slj_daemon::client::drain_daemon(&dialable(&handle.addrs[over])).unwrap();
+        assert_eq!(in_flight, 0);
+        let stats = join_or_fail(handle);
+        assert_eq!(stats.connections, 1, "only the draining client connected");
+        assert!(!uds_path(&tag).exists());
+    }
+}

@@ -1,6 +1,14 @@
 //! A deliberately small HTTP/1.1 server side: request reading with hard
 //! caps and deadlines, response writing with `Connection: close`.
 //!
+//! A request is read in two steps, [`read_head`] then [`read_body`], so
+//! the caller can refuse it between them without reading a body byte.
+//! That is what `Expect: 100-continue` (RFC 9110 §10.1.1) asks of a
+//! server: a client that sends it (curl does for any body over 1 MiB)
+//! holds its body back until `100 Continue` or a final status arrives.
+//! [`read_body`] writes the `100 Continue`, once, and only to an
+//! HTTP/1.1 client that asked for it and is still owed body bytes.
+//!
 //! The gateway serves one request per connection — no keep-alive, no
 //! chunked transfer, no pipelining. That is not laziness but the
 //! robustness posture: every connection's worst case is one bounded
@@ -19,6 +27,35 @@ pub struct Limits {
     pub max_header: usize,
     /// Maximum declared `Content-Length`.
     pub max_body: usize,
+}
+
+/// A request's line and headers, read and validated; the body is still
+/// on the socket, apart from any prefix the header read over-fetched.
+#[derive(Debug)]
+pub struct Head {
+    /// Uppercase method token as received (`GET`, `POST`, ...).
+    pub method: String,
+    /// The request target, query string included.
+    pub path: String,
+    /// Header names lowercased, values trimmed.
+    pub headers: Vec<(String, String)>,
+    /// The declared `Content-Length` (0 when absent on a bodiless
+    /// method), already checked against [`Limits::max_body`].
+    declared: usize,
+    /// An HTTP/1.1 request carrying `Expect: 100-continue` (ignored on
+    /// HTTP/1.0, as RFC 9110 requires).
+    expects_continue: bool,
+    /// Body bytes that arrived with the header block.
+    prefix: Vec<u8>,
+}
+
+impl Head {
+    /// Whether the client is holding its body back for `100 Continue`:
+    /// it asked, and body bytes are still outstanding. A refusal
+    /// answered now reaches it without a body byte being read.
+    pub fn awaits_continue(&self) -> bool {
+        self.expects_continue && self.prefix.len() < self.declared
+    }
 }
 
 /// One parsed request.
@@ -66,6 +103,8 @@ pub enum HttpError {
     BadContentLength(String),
     /// Declared body over the cap: `413`.
     BodyTooLarge { declared: usize, max: usize },
+    /// An `Expect` other than `100-continue`: `417`.
+    ExpectationFailed(String),
 }
 
 impl HttpError {
@@ -85,6 +124,9 @@ impl HttpError {
                 413,
                 format!("body of {declared} bytes exceeds the {max}-byte limit"),
             )),
+            HttpError::ExpectationFailed(what) => {
+                Some((417, format!("cannot meet the expectation '{what}'")))
+            }
         }
     }
 }
@@ -96,15 +138,17 @@ fn io_kind(e: &io::Error) -> HttpError {
     }
 }
 
-/// Reads one full request under the socket's deadlines and `limits`.
+/// Reads and validates the request line and headers. Every refusal
+/// that depends only on them — `400`, `411`, `413`, `417`, `431` — is
+/// returned here, before any body byte is asked of the client.
 ///
 /// # Errors
 ///
 /// A typed [`HttpError`]; see each variant for the status it maps to.
-pub fn read_request(stream: &mut Stream, limits: &Limits) -> Result<Request, HttpError> {
+pub fn read_head(stream: &mut Stream, limits: &Limits) -> Result<Head, HttpError> {
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     let mut chunk = [0u8; 8 * 1024];
-    // Phase 1: accumulate until the blank line ends the header block.
+    // Accumulate until the blank line ends the header block.
     let header_end = loop {
         if let Some(at) = find_blank_line(&buf) {
             break at;
@@ -138,6 +182,7 @@ pub fn read_request(stream: &mut Stream, limits: &Limits) -> Result<Request, Htt
     if !version.starts_with("HTTP/1.") {
         return Err(HttpError::Malformed(format!("unsupported {version}")));
     }
+    let http10 = version == "HTTP/1.0";
     let mut headers = Vec::new();
     for line in lines {
         if line.is_empty() {
@@ -149,8 +194,6 @@ pub fn read_request(stream: &mut Stream, limits: &Limits) -> Result<Request, Htt
         headers.push((name.trim().to_ascii_lowercase(), value.trim().to_owned()));
     }
 
-    // Phase 2: the body, exactly Content-Length bytes. Anything the
-    // header read over-fetched is the body's prefix.
     let declared = match content_length(&headers)? {
         Some(n) => n,
         None if method == "POST" || method == "PUT" => return Err(HttpError::LengthRequired),
@@ -162,7 +205,53 @@ pub fn read_request(stream: &mut Stream, limits: &Limits) -> Result<Request, Htt
             max: limits.max_body,
         });
     }
-    let mut body = buf.split_off(header_end + 4);
+    let mut expects_continue = false;
+    for (_, value) in headers.iter().filter(|(k, _)| k == "expect") {
+        if value.eq_ignore_ascii_case("100-continue") {
+            expects_continue = !http10;
+        } else {
+            return Err(HttpError::ExpectationFailed(value.clone()));
+        }
+    }
+    // Anything the header read over-fetched is the body's prefix.
+    let prefix = buf.split_off(header_end + 4);
+    Ok(Head {
+        method,
+        path,
+        headers,
+        declared,
+        expects_continue,
+        prefix,
+    })
+}
+
+/// The interim response [`read_body`] sends to a client that awaits it.
+pub const CONTINUE: &[u8] = b"HTTP/1.1 100 Continue\r\n\r\n";
+
+/// Reads the body `head` declares: exactly `Content-Length` bytes. If
+/// the client [awaits `100 Continue`](Head::awaits_continue), that is
+/// written first; it is the only place it is ever written.
+///
+/// # Errors
+///
+/// [`HttpError::Disconnected`] or [`HttpError::Timeout`] when the body
+/// does not arrive in full (or the `100` cannot be written).
+pub fn read_body(stream: &mut Stream, head: Head) -> Result<Request, HttpError> {
+    if head.awaits_continue() {
+        stream
+            .write_all(CONTINUE)
+            .and_then(|()| stream.flush())
+            .map_err(|e| io_kind(&e))?;
+    }
+    let Head {
+        method,
+        path,
+        headers,
+        declared,
+        prefix: mut body,
+        ..
+    } = head;
+    let mut chunk = [0u8; 8 * 1024];
     body.reserve(declared.saturating_sub(body.len()));
     while body.len() < declared {
         match stream.read(&mut chunk) {
@@ -224,6 +313,7 @@ pub fn reason(status: u16) -> &'static str {
         408 => "Request Timeout",
         411 => "Length Required",
         413 => "Payload Too Large",
+        417 => "Expectation Failed",
         429 => "Too Many Requests",
         431 => "Request Header Fields Too Large",
         500 => "Internal Server Error",
@@ -290,7 +380,8 @@ mod tests {
             }
             let _ = done_rx.recv();
         });
-        let result = read_request(&mut Stream::Unix(server), &limits);
+        let mut stream = Stream::Unix(server);
+        let result = read_head(&mut stream, &limits).and_then(|head| read_body(&mut stream, head));
         drop(done_tx);
         writer.join().unwrap();
         result
@@ -371,6 +462,183 @@ mod tests {
             })
         ));
         assert_eq!(status(r), 413);
+    }
+
+    /// When the client of an [`exchange`] sends its body.
+    #[derive(Clone, Copy)]
+    enum Send {
+        /// With the head, in one write.
+        Together,
+        /// Only once it has read a `100 Continue`; never on a final
+        /// status.
+        AfterContinue,
+        /// After a pause, without waiting for anything.
+        AfterPause,
+    }
+
+    /// What the server side of one exchange returned and wrote.
+    struct Exchange {
+        /// `read_head`'s result, or `read_body`'s when the head passed
+        /// and no refusal was made between them.
+        parsed: Result<Option<Request>, HttpError>,
+        /// Every byte the server wrote, in order.
+        written: Vec<u8>,
+    }
+
+    /// One request over a socket pair, served like the gateway serves
+    /// it: `read_head`; then either `refuse` as a final status (only to
+    /// a client awaiting `100 Continue`, which then never sends its
+    /// body) or `read_body`; then a final status. The client sends
+    /// `head`, then `body` as `send` says.
+    fn exchange(head: &str, body: &[u8], send: Send, refuse: Option<u16>) -> Exchange {
+        let (mut client, server) = UnixStream::pair().unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let server = std::thread::spawn(move || {
+            let mut stream = Stream::Unix(server);
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            let parsed = read_head(&mut stream, &LIMITS).and_then(|head| match refuse {
+                Some(_) if head.awaits_continue() => Ok(None),
+                _ => read_body(&mut stream, head).map(Some),
+            });
+            let status = match &parsed {
+                Ok(Some(_)) => 200,
+                Ok(None) => refuse.unwrap(),
+                Err(e) => e.status().map_or(0, |(status, _)| status),
+            };
+            write_response(&mut stream, status, "text/plain", &[], b"done\n").unwrap();
+            stream.shutdown();
+            parsed
+        });
+        let mut written = Vec::new();
+        match send {
+            Send::AfterContinue => {
+                client.write_all(head.as_bytes()).unwrap();
+                while written.len() < CONTINUE.len() {
+                    let mut chunk = [0u8; 256];
+                    match client.read(&mut chunk).unwrap() {
+                        0 => break,
+                        n => written.extend_from_slice(&chunk[..n]),
+                    }
+                }
+                if written.starts_with(CONTINUE) {
+                    client.write_all(body).unwrap();
+                }
+            }
+            Send::AfterPause => {
+                client.write_all(head.as_bytes()).unwrap();
+                std::thread::sleep(Duration::from_millis(50));
+                client.write_all(body).unwrap();
+            }
+            Send::Together => {
+                let mut whole = head.as_bytes().to_vec();
+                whole.extend_from_slice(body);
+                client.write_all(&whole).unwrap();
+            }
+        }
+        client.read_to_end(&mut written).unwrap();
+        Exchange {
+            parsed: server.join().unwrap(),
+            written,
+        }
+    }
+
+    fn continues(written: &[u8]) -> usize {
+        written
+            .windows(CONTINUE.len())
+            .filter(|w| *w == CONTINUE)
+            .count()
+    }
+
+    fn final_status(written: &[u8]) -> u16 {
+        let text = String::from_utf8_lossy(written);
+        let after = text
+            .strip_prefix("HTTP/1.1 100 Continue\r\n\r\n")
+            .unwrap_or(&text);
+        after[9..12].parse().unwrap()
+    }
+
+    const EXPECT_POST: &str = "POST /v1/jobs HTTP/1.1\r\nContent-Length: 11\r\n\
+                               Expect: 100-continue\r\n\r\n";
+
+    #[test]
+    fn other_expectations_get_417() {
+        for value in ["gzip", "100-continue, x-more", "200-ok"] {
+            let head =
+                format!("POST /v1/jobs HTTP/1.1\r\nContent-Length: 11\r\nExpect: {value}\r\n\r\n");
+            let x = exchange(&head, b"hello world", Send::AfterContinue, None);
+            assert!(
+                matches!(x.parsed, Err(HttpError::ExpectationFailed(ref v)) if v == value),
+                "{value}"
+            );
+            assert_eq!(continues(&x.written), 0);
+            assert_eq!(final_status(&x.written), 417);
+        }
+        // The token is case-insensitive.
+        let head = EXPECT_POST.replace("100-continue", "100-Continue");
+        let x = exchange(&head, b"hello world", Send::AfterContinue, None);
+        assert_eq!(x.parsed.unwrap().unwrap().body, b"hello world");
+        assert_eq!(continues(&x.written), 1);
+    }
+
+    #[test]
+    fn http_1_0_never_gets_100() {
+        let head = EXPECT_POST.replace("HTTP/1.1", "HTTP/1.0");
+        let x = exchange(&head, b"hello world", Send::AfterPause, None);
+        assert_eq!(x.parsed.unwrap().unwrap().body, b"hello world");
+        assert_eq!(continues(&x.written), 0);
+        assert_eq!(final_status(&x.written), 200);
+    }
+
+    #[test]
+    fn a_client_that_already_sent_its_body_gets_no_100() {
+        let x = exchange(EXPECT_POST, b"hello world", Send::Together, None);
+        assert_eq!(x.parsed.unwrap().unwrap().body, b"hello world");
+        assert_eq!(continues(&x.written), 0);
+        assert!(x.written.starts_with(b"HTTP/1.1 200 OK\r\n"));
+    }
+
+    #[test]
+    fn a_withheld_body_is_read_after_one_100() {
+        // A deadlock check, not a timing bound: the client sends
+        // nothing more until `100 Continue` arrives, and both sides
+        // read under a 5 s deadline.
+        let x = exchange(EXPECT_POST, b"hello world", Send::AfterContinue, None);
+        assert_eq!(x.parsed.unwrap().unwrap().body, b"hello world");
+        assert!(x.written.starts_with(CONTINUE));
+        assert_eq!(continues(&x.written), 1);
+        assert_eq!(final_status(&x.written), 200);
+        // Nothing is owed without a body: no 100.
+        let head = "GET /v1/jobs/1 HTTP/1.1\r\nExpect: 100-continue\r\n\r\n";
+        let x = exchange(head, b"", Send::Together, None);
+        assert!(x.parsed.unwrap().unwrap().body.is_empty());
+        assert_eq!(continues(&x.written), 0);
+    }
+
+    #[test]
+    fn refusals_reach_an_expect_client_first_with_no_body_read() {
+        // The client never sends its body: had the server read any of
+        // it, the read would have timed out (408) instead.
+        for refusal in [503, 429] {
+            let x = exchange(
+                EXPECT_POST,
+                b"hello world",
+                Send::AfterContinue,
+                Some(refusal),
+            );
+            assert!(matches!(x.parsed, Ok(None)), "{refusal}");
+            assert_eq!(continues(&x.written), 0);
+            assert_eq!(final_status(&x.written), refusal);
+            assert_eq!(x.written.windows(5).filter(|w| *w == b"HTTP/").count(), 1);
+        }
+        let over = EXPECT_POST.replace("Content-Length: 11", "Content-Length: 65");
+        let x = exchange(&over, &[b'x'; 65], Send::AfterContinue, None);
+        assert!(matches!(x.parsed, Err(HttpError::BodyTooLarge { .. })));
+        assert_eq!(continues(&x.written), 0);
+        assert_eq!(final_status(&x.written), 413);
     }
 
     #[test]

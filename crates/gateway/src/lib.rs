@@ -9,10 +9,14 @@
 //!   by the clip as concatenated binary PPM frames (the on-disk clip
 //!   format's `frame_*.ppm` bytes laid end to end). The gateway
 //!   forwards it as one `OPEN_CLIP`; the daemon decodes and feeds the
-//!   frames itself. Replies `202` with a job id.
+//!   frames itself. Replies `202` with a job id. `Expect:
+//!   100-continue` is honoured: the refusals the gateway can decide
+//!   from the headers arrive before any body byte is sent.
 //! - `GET /v1/jobs/{id}` — `202` while running, `200` with the report
 //!   JSON (byte-identical to `slj analyze --stream --report`), `502`
-//!   when the session failed.
+//!   when the session failed. `?wait_ms=N` holds a running job's
+//!   request until it finishes or `N` ms pass (capped at the read
+//!   timeout): one long-poll instead of a polling loop.
 //! - `GET /v1/jobs/{id}/events` — the session's health-event JSONL.
 //! - `GET /healthz`, `GET /metrics` — liveness and counters.
 //! - `POST /v1/drain` — drains gateway and daemon.
@@ -27,19 +31,19 @@
 pub mod http;
 
 use std::collections::BTreeMap;
-use std::io::{self, ErrorKind};
+use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use slj_daemon::{Addr, Client, ClientError, ClientOptions, Listener, OpenRequest, Stream};
+use slj_daemon::server::ACCEPT_ERROR_BACKOFF;
+use slj_daemon::{
+    AcceptWake, Addr, Client, ClientError, ClientOptions, Listener, OpenRequest, Stream,
+};
 use slj_obs::MetricsRegistry;
 
-use http::{read_request, write_response, HttpError, Limits, Request};
-
-/// How long the acceptor sleeps between nonblocking accept polls.
-const ACCEPT_POLL: Duration = Duration::from_millis(20);
+use http::{read_body, read_head, write_response, HttpError, Limits, Request};
 
 /// Gateway knobs. The defaults are sized for the daemon's own default
 /// wire-frame cap: a body that passes the gateway always fits the one
@@ -57,7 +61,8 @@ pub struct GatewayConfig {
     pub max_done: usize,
     /// Concurrent HTTP connections; accepts beyond it get `503`.
     pub max_conns: usize,
-    /// Per-connection socket read deadline (slowloris bound).
+    /// Per-connection socket read deadline (slowloris bound); also the
+    /// longest a `?wait_ms=` long-poll is held.
     pub read_timeout: Duration,
     /// Per-connection socket write deadline (stalled-reader bound).
     pub write_timeout: Duration,
@@ -101,7 +106,12 @@ struct Shared {
     draining: AtomicBool,
     /// Acceptor stop flag (set by [`GatewayHandle::shutdown`]).
     stop: AtomicBool,
+    /// Wakes the acceptor out of its blocking `accept` on shutdown.
+    wake: AcceptWake,
     jobs: Mutex<BTreeMap<u64, JobState>>,
+    /// Notified when a job turns terminal and on shutdown: long-polls
+    /// wait on it.
+    job_done: Condvar,
     running: AtomicUsize,
     next_job: AtomicU64,
     conns: AtomicUsize,
@@ -145,20 +155,27 @@ impl GatewayHandle {
         self.shared.running.load(Ordering::SeqCst)
     }
 
-    /// Stops the acceptor, joins every job worker, and returns the
+    /// Stops the acceptor, answers every outstanding long-poll with the
+    /// job's current state, joins every job worker, and returns the
     /// final metrics. In-flight HTTP connections get up to one
     /// read+write deadline to finish.
     pub fn shutdown(self) -> MetricsRegistry {
-        self.shared.stop.store(true, Ordering::SeqCst);
+        {
+            // Under the jobs lock, so a long-poll between its stop
+            // check and its wait cannot miss the notify.
+            let _jobs = self.shared.jobs.lock().unwrap();
+            self.shared.stop.store(true, Ordering::SeqCst);
+        }
+        self.shared.job_done.notify_all();
+        self.shared.wake.wake();
         let _ = self.acceptor.join();
         let workers = std::mem::take(&mut *self.shared.workers.lock().unwrap());
         for worker in workers {
             let _ = worker.join();
         }
-        let deadline = std::time::Instant::now()
-            + self.shared.config.read_timeout
-            + self.shared.config.write_timeout;
-        while self.shared.conns.load(Ordering::SeqCst) > 0 && std::time::Instant::now() < deadline {
+        let deadline =
+            Instant::now() + self.shared.config.read_timeout + self.shared.config.write_timeout;
+        while self.shared.conns.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
             thread::sleep(Duration::from_millis(5));
         }
         self.shared.metrics.lock().unwrap().clone()
@@ -175,13 +192,15 @@ impl Gateway {
     /// Any bind failure.
     pub fn start(listen: &Addr, daemon: Addr, config: GatewayConfig) -> io::Result<GatewayHandle> {
         let (listener, addr) = Listener::bind(listen)?;
-        listener.set_nonblocking(true)?;
+        let wake = AcceptWake::new(&listener)?;
         let shared = Arc::new(Shared {
             daemon,
             config,
             draining: AtomicBool::new(false),
             stop: AtomicBool::new(false),
+            wake,
             jobs: Mutex::new(BTreeMap::new()),
+            job_done: Condvar::new(),
             running: AtomicUsize::new(0),
             next_job: AtomicU64::new(1),
             conns: AtomicUsize::new(0),
@@ -203,95 +222,209 @@ impl Gateway {
     }
 }
 
+/// Blocks in `accept`; [`GatewayHandle::shutdown`] raises `stop` and
+/// then dials the listener, so the accept that returns sees the flag.
 fn accept_loop(shared: &Arc<Shared>, listener: Listener) {
     loop {
+        let accepted = listener.accept();
         if shared.stop.load(Ordering::SeqCst) {
-            if let Some(path) = listener.unix_path() {
-                let _ = std::fs::remove_file(path);
-            }
-            return;
+            break;
         }
-        match listener.accept() {
-            Ok(stream) => {
-                let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
-                let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
-                if shared.conns.fetch_add(1, Ordering::SeqCst) >= shared.config.max_conns {
-                    // Over the connection cap: answer 503 inline (the
-                    // acceptor can afford one bounded write) and close.
-                    shared.inc("gateway_conns_shed");
-                    let mut stream = stream;
-                    let _ = respond_text(&mut stream, 503, "gateway connection limit reached\n");
-                    shared.conns.fetch_sub(1, Ordering::SeqCst);
-                    continue;
-                }
-                shared.inc("gateway_conns");
-                let shared = Arc::clone(shared);
-                thread::Builder::new()
-                    .name("slj-gateway-conn".to_owned())
-                    .spawn(move || {
-                        handle_connection(&shared, stream);
-                        shared.conns.fetch_sub(1, Ordering::SeqCst);
-                    })
-                    .expect("spawn gateway connection thread");
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
-            Err(_) => thread::sleep(ACCEPT_POLL),
+        let Ok(stream) = accepted else {
+            thread::sleep(ACCEPT_ERROR_BACKOFF);
+            continue;
+        };
+        let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
+        let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
+        if shared.conns.fetch_add(1, Ordering::SeqCst) >= shared.config.max_conns {
+            // Over the connection cap: answer 503 inline (the acceptor
+            // can afford one bounded write) and close.
+            shared.inc("gateway_conns_shed");
+            let mut stream = stream;
+            let _ = Reply::text(503, "gateway connection limit reached\n").send(&mut stream);
+            shared.conns.fetch_sub(1, Ordering::SeqCst);
+            continue;
+        }
+        shared.inc("gateway_conns");
+        let shared = Arc::clone(shared);
+        thread::Builder::new()
+            .name("slj-gateway-conn".to_owned())
+            .spawn(move || {
+                handle_connection(&shared, stream);
+                shared.conns.fetch_sub(1, Ordering::SeqCst);
+            })
+            .expect("spawn gateway connection thread");
+    }
+    shared.wake.close();
+    if let Some(path) = listener.unix_path() {
+        let _ = std::fs::remove_file(path);
+    }
+}
+
+/// A response decided in full before it is written, so no lock is held
+/// and no body is read across the socket write.
+struct Reply {
+    status: u16,
+    content_type: &'static str,
+    headers: Vec<(&'static str, String)>,
+    body: Vec<u8>,
+}
+
+impl Reply {
+    fn new(status: u16, content_type: &'static str, body: impl Into<Vec<u8>>) -> Reply {
+        Reply {
+            status,
+            content_type,
+            headers: Vec::new(),
+            body: body.into(),
+        }
+    }
+
+    fn text(status: u16, body: impl Into<Vec<u8>>) -> Reply {
+        Reply::new(status, "text/plain", body)
+    }
+
+    fn json(status: u16, body: impl Into<Vec<u8>>) -> Reply {
+        Reply::new(status, "application/json", body)
+    }
+
+    fn header(mut self, name: &'static str, value: String) -> Reply {
+        self.headers.push((name, value));
+        self
+    }
+
+    fn send(&self, stream: &mut Stream) -> io::Result<()> {
+        write_response(
+            stream,
+            self.status,
+            self.content_type,
+            &self.headers,
+            &self.body,
+        )
+    }
+}
+
+/// What a request asks for, decided from its line alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Route {
+    Healthz,
+    Metrics,
+    Submit,
+    Drain,
+    Job {
+        id: u64,
+        events: bool,
+    },
+    /// A known path under the wrong method; carries the `Allow` value.
+    WrongMethod(&'static str),
+    NotFound,
+}
+
+impl Route {
+    fn of(method: &str, target: &str) -> Route {
+        let path = target.split('?').next().unwrap_or("");
+        match (method, path) {
+            ("GET", "/healthz") => Route::Healthz,
+            ("GET", "/metrics") => Route::Metrics,
+            ("POST", "/v1/jobs") => Route::Submit,
+            ("POST", "/v1/drain") => Route::Drain,
+            (_, "/healthz" | "/metrics") => Route::WrongMethod("GET"),
+            (_, "/v1/jobs" | "/v1/drain") => Route::WrongMethod("POST"),
+            (method, path) => match parse_job_path(path) {
+                Some((id, events)) if method == "GET" => Route::Job { id, events },
+                Some(_) => Route::WrongMethod("GET"),
+                None => Route::NotFound,
+            },
         }
     }
 }
 
-fn respond_text(stream: &mut Stream, status: u16, body: &str) -> io::Result<()> {
-    write_response(stream, status, "text/plain", &[], body.as_bytes())
-}
-
-fn respond_json(stream: &mut Stream, status: u16, body: &str) -> io::Result<()> {
-    write_response(stream, status, "application/json", &[], body.as_bytes())
-}
-
 /// One request, one response, close. Every path out of here writes a
 /// typed status unless the peer is already gone.
+///
+/// Between the head and the body, every refusal the gateway can decide
+/// locally is made: a client holding its body back for `100 Continue`
+/// gets the final status instead, with no body byte read. A client
+/// sending its body regardless has it read first, so that closing does
+/// not reset the connection under the answer.
 fn handle_connection(shared: &Arc<Shared>, mut stream: Stream) {
     let limits = Limits {
         max_header: shared.config.max_header,
         max_body: shared.config.max_body,
     };
-    let request = match read_request(&mut stream, &limits) {
-        Ok(request) => request,
+    let read = read_head(&mut stream, &limits).and_then(|head| {
+        let route = Route::of(&head.method, &head.path);
+        match refuse_early(shared, route) {
+            Some(refusal) if head.awaits_continue() => Ok(Err(refusal)),
+            Some(refusal) => read_body(&mut stream, head).map(|_| Err(refusal)),
+            None => read_body(&mut stream, head).map(|request| Ok((route, request))),
+        }
+    });
+    let reply = match read {
+        Ok(routed) => {
+            shared.inc("gateway_reqs");
+            match routed {
+                Ok((route, request)) => dispatch(shared, route, request),
+                Err(refusal) => refusal,
+            }
+        }
         Err(err) => {
             shared.inc(match err {
                 HttpError::Timeout => "gateway_reqs_timeout",
                 HttpError::Disconnected => "gateway_reqs_disconnected",
                 _ => "gateway_reqs_malformed",
             });
-            if let Some((status, why)) = err.status() {
-                let _ = respond_text(&mut stream, status, &format!("{why}\n"));
+            match err.status() {
+                Some((status, why)) => Reply::text(status, format!("{why}\n")),
+                None => return stream.shutdown(),
             }
-            stream.shutdown();
-            return;
         }
     };
-    shared.inc("gateway_reqs");
-    route(shared, &mut stream, &request);
+    let _ = reply.send(&mut stream);
     stream.shutdown();
 }
 
-fn route(shared: &Arc<Shared>, stream: &mut Stream, request: &Request) {
-    let path = request.path.split('?').next().unwrap_or("");
-    let outcome = match (request.method.as_str(), path) {
-        ("GET", "/healthz") => handle_healthz(shared, stream),
-        ("GET", "/metrics") => handle_metrics(shared, stream),
-        ("POST", "/v1/jobs") => handle_submit(shared, stream, request),
-        ("POST", "/v1/drain") => handle_drain(shared, stream),
-        (_, "/healthz" | "/metrics") => method_not_allowed(stream, "GET"),
-        (_, "/v1/jobs") => method_not_allowed(stream, "POST"),
-        (_, "/v1/drain") => method_not_allowed(stream, "POST"),
-        (method, path) => match parse_job_path(path) {
-            Some((id, events)) if method == "GET" => handle_job_get(shared, stream, id, events),
-            Some(_) => method_not_allowed(stream, "GET"),
-            None => respond_text(stream, 404, "no such resource\n"),
-        },
-    };
-    let _ = outcome;
+/// The refusals that need no body: an unknown route, a wrong method,
+/// and a submission the gateway would shed anyway.
+fn refuse_early(shared: &Arc<Shared>, route: Route) -> Option<Reply> {
+    match route {
+        Route::NotFound => Some(Reply::text(404, "no such resource\n")),
+        Route::WrongMethod(allow) => {
+            Some(Reply::text(405, "method not allowed\n").header("Allow", allow.to_owned()))
+        }
+        Route::Submit => refuse_admission(shared),
+        _ => None,
+    }
+}
+
+/// `503` while draining, `429` while the job table is full — the
+/// admission answers the gateway gives without dialing the daemon.
+fn refuse_admission(shared: &Arc<Shared>) -> Option<Reply> {
+    if shared.draining.load(Ordering::SeqCst) {
+        shared.inc("gateway_jobs_drained");
+        return Some(Reply::text(503, "gateway is draining\n"));
+    }
+    if shared.running.load(Ordering::SeqCst) >= shared.config.max_jobs {
+        shared.inc("gateway_jobs_shed");
+        return Some(too_many(shared, "job table is full; retry shortly\n"));
+    }
+    None
+}
+
+fn too_many(shared: &Arc<Shared>, body: impl Into<Vec<u8>>) -> Reply {
+    Reply::text(429, body).header("Retry-After", shared.config.retry_after.to_string())
+}
+
+fn dispatch(shared: &Arc<Shared>, route: Route, request: Request) -> Reply {
+    match route {
+        Route::Healthz => handle_healthz(shared),
+        Route::Metrics => Reply::text(200, shared.metrics.lock().unwrap().render()),
+        Route::Submit => handle_submit(shared, request),
+        Route::Drain => handle_drain(shared),
+        Route::Job { id, events } => handle_job_get(shared, id, events, &request.path),
+        // `refuse_early` answered these before the body.
+        Route::WrongMethod(_) | Route::NotFound => unreachable!("refused early"),
+    }
 }
 
 /// `/v1/jobs/{id}` and `/v1/jobs/{id}/events` → `(id, wants_events)`.
@@ -303,75 +436,68 @@ fn parse_job_path(path: &str) -> Option<(u64, bool)> {
     }
 }
 
-fn method_not_allowed(stream: &mut Stream, allow: &str) -> io::Result<()> {
-    write_response(
-        stream,
-        405,
-        "text/plain",
-        &[("Allow", allow.to_owned())],
-        b"method not allowed\n",
-    )
-}
-
-fn handle_healthz(shared: &Arc<Shared>, stream: &mut Stream) -> io::Result<()> {
-    if shared.draining.load(Ordering::SeqCst) {
-        respond_text(stream, 503, "draining\n")
-    } else {
-        respond_text(stream, 200, "ok\n")
+/// The `wait_ms` query parameter of a request target (0 when absent).
+fn wait_ms(target: &str) -> Result<u64, String> {
+    let Some((_, query)) = target.split_once('?') else {
+        return Ok(0);
+    };
+    match query.split('&').find_map(|kv| kv.strip_prefix("wait_ms=")) {
+        None => Ok(0),
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("wait_ms must be a count of milliseconds, not '{v}'\n")),
     }
 }
 
-fn handle_metrics(shared: &Arc<Shared>, stream: &mut Stream) -> io::Result<()> {
-    let rendered = shared.metrics.lock().unwrap().render();
-    respond_text(stream, 200, &rendered)
+fn handle_healthz(shared: &Arc<Shared>) -> Reply {
+    if shared.draining.load(Ordering::SeqCst) {
+        Reply::text(503, "draining\n")
+    } else {
+        Reply::text(200, "ok\n")
+    }
 }
 
 /// The ingestion path. Refusal order is deliberate: everything the
 /// gateway can decide locally (shape, JSON, drain, job cap) is decided
 /// *before* a wire connection is dialed, so bad requests never cost the
 /// daemon anything.
-fn handle_submit(shared: &Arc<Shared>, stream: &mut Stream, request: &Request) -> io::Result<()> {
+fn handle_submit(shared: &Arc<Shared>, request: Request) -> Reply {
     // Body shape: one open-request JSON line, then raw PPM bytes.
-    let Some(newline) = request.body.iter().position(|&b| b == b'\n') else {
+    let mut body = request.body;
+    let Some(newline) = body.iter().position(|&b| b == b'\n') else {
         shared.inc("gateway_jobs_malformed");
-        return respond_text(
-            stream,
+        return Reply::text(
             400,
             "body must be one open-request JSON line followed by PPM frames\n",
         );
     };
-    let (json_line, ppm) = request.body.split_at(newline);
-    let ppm = &ppm[1..];
-    let open: OpenRequest = match std::str::from_utf8(json_line)
+    let open: OpenRequest = match std::str::from_utf8(&body[..newline])
         .map_err(|e| e.to_string())
         .and_then(|s| serde_json::from_str(s).map_err(|e| e.to_string()))
     {
         Ok(open) => open,
         Err(e) => {
             shared.inc("gateway_jobs_malformed");
-            return respond_text(stream, 400, &format!("open request does not parse: {e}\n"));
+            return Reply::text(400, format!("open request does not parse: {e}\n"));
         }
     };
-    if ppm.is_empty() {
+    if newline + 1 == body.len() {
         shared.inc("gateway_jobs_malformed");
-        return respond_text(stream, 400, "no clip bytes after the open-request line\n");
+        return Reply::text(400, "no clip bytes after the open-request line\n");
     }
-    if shared.draining.load(Ordering::SeqCst) {
-        shared.inc("gateway_jobs_drained");
-        return respond_text(stream, 503, "gateway is draining\n");
+    // `refuse_early` checked these before the body; the state may have
+    // moved while it arrived.
+    if let Some(refusal) = refuse_admission(shared) {
+        return refusal;
     }
     // Reserve a job slot before dialing; release on any refusal.
     if shared.running.fetch_add(1, Ordering::SeqCst) >= shared.config.max_jobs {
         shared.running.fetch_sub(1, Ordering::SeqCst);
         shared.inc("gateway_jobs_shed");
-        return write_response(
-            stream,
-            429,
-            "text/plain",
-            &[("Retry-After", shared.config.retry_after.to_string())],
-            b"job table is full; retry shortly\n",
-        );
+        return too_many(shared, "job table is full; retry shortly\n");
     }
+    // What is left of the body is the clip: no copy.
+    body.drain(..=newline);
     let admitted = Client::connect(&shared.daemon, shared.config.client.clone())
         .map_err(|e| {
             (
@@ -382,9 +508,9 @@ fn handle_submit(shared: &Arc<Shared>, stream: &mut Stream, request: &Request) -
         })
         .and_then(|mut client| {
             client
-                .open_clip(&open, ppm.to_vec())
+                .open_clip(&open, body)
                 .map(|session| (client, session))
-                .map_err(|e| refusal(shared, e))
+                .map_err(refusal)
         });
     let (client, session) = match admitted {
         Ok(pair) => pair,
@@ -392,15 +518,9 @@ fn handle_submit(shared: &Arc<Shared>, stream: &mut Stream, request: &Request) -
             shared.running.fetch_sub(1, Ordering::SeqCst);
             shared.inc(counter);
             if status == 429 {
-                return write_response(
-                    stream,
-                    429,
-                    "text/plain",
-                    &[("Retry-After", shared.config.retry_after.to_string())],
-                    body.as_bytes(),
-                );
+                return too_many(shared, body);
             }
-            return respond_text(stream, status, &body);
+            return Reply::text(status, body);
         }
     };
     let id = shared.next_job.fetch_add(1, Ordering::SeqCst);
@@ -430,18 +550,14 @@ fn handle_submit(shared: &Arc<Shared>, stream: &mut Stream, request: &Request) -
             .expect("spawn gateway job worker")
     };
     shared.workers.lock().unwrap().push(worker);
-    respond_json(
-        stream,
-        202,
-        &format!("{{\"job\":{id},\"state\":\"running\"}}\n"),
-    )
+    Reply::json(202, format!("{{\"job\":{id},\"state\":\"running\"}}\n"))
 }
 
 /// Maps a wire-level refusal onto `(status, body, counter)`. The
 /// daemon's admission answers become the HTTP backpressure contract:
 /// capacity → `429` (with `Retry-After` added by the caller), draining
 /// → `503`, an undecodable clip or unparseable request → `400`.
-fn refusal(_shared: &Arc<Shared>, err: ClientError) -> (u16, String, &'static str) {
+fn refusal(err: ClientError) -> (u16, String, &'static str) {
     match err {
         ClientError::Rejected { reason } => {
             if reason.contains("at capacity") {
@@ -469,7 +585,8 @@ fn refusal(_shared: &Arc<Shared>, err: ClientError) -> (u16, String, &'static st
     }
 }
 
-/// Owns the wire connection for one admitted job until its terminal.
+/// Owns the wire connection for one admitted job until its terminal,
+/// then wakes the long-polls waiting on it.
 fn job_worker(shared: &Arc<Shared>, id: u64, mut client: Client, session: u64) {
     let outcome = client.await_result(session);
     let mut jobs = shared.jobs.lock().unwrap();
@@ -484,45 +601,53 @@ fn job_worker(shared: &Arc<Shared>, id: u64, mut client: Client, session: u64) {
         }
     }
     drop(jobs);
+    shared.job_done.notify_all();
     shared.running.fetch_sub(1, Ordering::SeqCst);
 }
 
-fn handle_job_get(
-    shared: &Arc<Shared>,
-    stream: &mut Stream,
-    id: u64,
-    events: bool,
-) -> io::Result<()> {
-    let jobs = shared.jobs.lock().unwrap();
-    match jobs.get(&id) {
-        None => respond_text(stream, 404, &format!("no job {id}\n")),
-        Some(JobState::Running) => respond_json(
-            stream,
-            202,
-            &format!("{{\"job\":{id},\"state\":\"running\"}}\n"),
-        ),
-        Some(JobState::Failed(error)) => {
-            // The vendored serde_json has no json! macro; escape the
-            // error by serialising it as a lone string.
-            let quoted = serde_json::to_string(error).unwrap_or_else(|_| "\"?\"".to_owned());
-            respond_json(
-                stream,
-                502,
-                &format!("{{\"job\":{id},\"state\":\"failed\",\"error\":{quoted}}}\n"),
-            )
-        }
-        Some(JobState::Done(analysis)) => {
-            if events {
+/// `GET /v1/jobs/{id}[/events]`, held up to `?wait_ms=` (capped at the
+/// read timeout) while the job runs. The reply is built under the
+/// `jobs` lock and written after it is released: a stalled reader must
+/// not hold up the job workers or other requests.
+fn handle_job_get(shared: &Arc<Shared>, id: u64, events: bool, target: &str) -> Reply {
+    let wait = match wait_ms(target) {
+        Ok(ms) => Duration::from_millis(ms).min(shared.config.read_timeout),
+        Err(why) => return Reply::text(400, why),
+    };
+    let deadline = Instant::now() + wait;
+    let mut jobs = shared.jobs.lock().unwrap();
+    loop {
+        let now = Instant::now();
+        match jobs.get(&id) {
+            Some(JobState::Running) if now < deadline && !shared.stop.load(Ordering::SeqCst) => {
+                jobs = shared
+                    .job_done
+                    .wait_timeout(jobs, deadline - now)
+                    .unwrap()
+                    .0;
+            }
+            None => return Reply::text(404, format!("no job {id}\n")),
+            Some(JobState::Running) => {
+                return Reply::json(202, format!("{{\"job\":{id},\"state\":\"running\"}}\n"))
+            }
+            Some(JobState::Failed(error)) => {
+                // The vendored serde_json has no json! macro; escape the
+                // error by serialising it as a lone string.
+                let quoted = serde_json::to_string(error).unwrap_or_else(|_| "\"?\"".to_owned());
+                return Reply::json(
+                    502,
+                    format!("{{\"job\":{id},\"state\":\"failed\",\"error\":{quoted}}}\n"),
+                );
+            }
+            Some(JobState::Done(analysis)) if events => {
                 let mut body = analysis.events.join("\n");
                 body.push('\n');
-                drop(jobs);
-                write_response(stream, 200, "application/x-ndjson", &[], body.as_bytes())
-            } else {
-                // The report bytes verbatim: byte-identical to the
-                // daemon's ANALYSIS and to `slj analyze --stream`.
-                let body = analysis.summary_json.clone();
-                drop(jobs);
-                respond_json(stream, 200, &body)
+                return Reply::new(200, "application/x-ndjson", body);
+            }
+            // The report bytes verbatim: byte-identical to the daemon's
+            // ANALYSIS and to `slj analyze --stream`.
+            Some(JobState::Done(analysis)) => {
+                return Reply::json(200, analysis.summary_json.clone())
             }
         }
     }
@@ -530,21 +655,19 @@ fn handle_job_get(
 
 /// Drains gateway and daemon: local admissions stop first, then the
 /// wire `DRAIN` is forwarded so the daemon refuses everyone else too.
-fn handle_drain(shared: &Arc<Shared>, stream: &mut Stream) -> io::Result<()> {
+fn handle_drain(shared: &Arc<Shared>) -> Reply {
     shared.draining.store(true, Ordering::SeqCst);
     shared.inc("gateway_drains");
     match Client::connect(&shared.daemon, shared.config.client.clone())
         .and_then(|mut client| client.drain())
     {
-        Ok(in_flight) => respond_json(
-            stream,
+        Ok(in_flight) => Reply::json(
             200,
-            &format!("{{\"state\":\"draining\",\"daemon_in_flight\":{in_flight}}}\n"),
+            format!("{{\"state\":\"draining\",\"daemon_in_flight\":{in_flight}}}\n"),
         ),
-        Err(e) => respond_text(
-            stream,
+        Err(e) => Reply::text(
             502,
-            &format!("gateway draining, but the daemon could not be reached: {e}\n"),
+            format!("gateway draining, but the daemon could not be reached: {e}\n"),
         ),
     }
 }

@@ -13,12 +13,20 @@
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
+use std::sync::mpsc::{channel, Sender};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use serde::Deserialize;
 use slj::prelude::*;
-use slj_daemon::{Addr, Client, ClientOptions, Daemon, DaemonConfig, OpenRequest};
+use slj_daemon::wire::encode_to_vec;
+use slj_daemon::{
+    Addr, Client, ClientOptions, Daemon, DaemonConfig, Decoder, OpenRequest, WireMsg,
+    DEFAULT_MAX_FRAME, WIRE_SCHEMA,
+};
+use slj_gateway::http::CONTINUE;
 use slj_gateway::{Gateway, GatewayConfig, GatewayHandle};
 
 fn scene() -> SceneConfig {
@@ -178,6 +186,89 @@ fn fetch_report(hostport: &str, job: u64) -> Vec<u8> {
             ),
         }
     }
+}
+
+/// Sends `POST {path}` the way curl sends a large upload: headers with
+/// `Expect: 100-continue`, then the body only once `100 Continue`
+/// arrives — never on a final status. Returns whether a `100` came
+/// first, and the final response.
+fn post_expecting(hostport: &str, path: &str, body: &[u8]) -> (bool, Response) {
+    let mut sock = TcpStream::connect(hostport).unwrap();
+    sock.set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let head = format!(
+        "POST {path} HTTP/1.1\r\nHost: gw\r\nContent-Length: {}\r\n\
+         Expect: 100-continue\r\n\r\n",
+        body.len()
+    );
+    sock.write_all(head.as_bytes()).unwrap();
+    let mut raw = Vec::new();
+    while raw.len() < CONTINUE.len() {
+        let mut chunk = [0u8; 256];
+        match sock.read(&mut chunk).unwrap() {
+            0 => break,
+            n => raw.extend_from_slice(&chunk[..n]),
+        }
+    }
+    let continued = raw.starts_with(CONTINUE);
+    if continued {
+        raw.drain(..CONTINUE.len());
+        sock.write_all(body).unwrap();
+    }
+    sock.read_to_end(&mut raw).unwrap();
+    (continued, parse_response(&raw))
+}
+
+/// Requests the gateway has read in full so far, not counting the
+/// `GET /metrics` that asks.
+fn requests_read(hostport: &str) -> u64 {
+    let metrics = get(hostport, "/metrics");
+    let text = String::from_utf8_lossy(&metrics.body).into_owned();
+    let count: u64 = text
+        .lines()
+        .find_map(|l| l.trim().strip_prefix("gateway_reqs = "))
+        .expect("a gateway_reqs counter")
+        .parse()
+        .unwrap();
+    count - 1
+}
+
+/// A daemon stand-in on `path` that admits one clip and holds it
+/// running until `release` fires, then answers an `ANALYSIS` whose
+/// summary is `{}`: the job's run time is the test's to choose.
+fn held_daemon(path: &PathBuf) -> (Sender<()>, JoinHandle<()>) {
+    let _ = std::fs::remove_file(path);
+    let listener = UnixListener::bind(path).unwrap();
+    let (release, released) = channel::<()>();
+    let stub = std::thread::spawn(move || {
+        let (mut sock, _) = listener.accept().unwrap();
+        let mut decoder = Decoder::new(DEFAULT_MAX_FRAME);
+        let mut next = |sock: &mut std::os::unix::net::UnixStream| loop {
+            if let Some(msg) = decoder.next_msg().unwrap() {
+                return msg;
+            }
+            let mut chunk = [0u8; 64 * 1024];
+            let n = sock.read(&mut chunk).unwrap();
+            assert!(n > 0, "the gateway hung up");
+            decoder.push(&chunk[..n]);
+        };
+        assert!(matches!(next(&mut sock), WireMsg::Hello { .. }));
+        let hello = WireMsg::HelloOk {
+            proto: WIRE_SCHEMA.to_owned(),
+        };
+        sock.write_all(&encode_to_vec(&hello)).unwrap();
+        assert!(matches!(next(&mut sock), WireMsg::OpenClip { .. }));
+        sock.write_all(&encode_to_vec(&WireMsg::Opened { session: 1 }))
+            .unwrap();
+        released.recv().unwrap();
+        let analysis = WireMsg::Analysis {
+            session: 1,
+            summary_json: "{}".to_owned(),
+            trace_jsonl: String::new(),
+        };
+        sock.write_all(&encode_to_vec(&analysis)).unwrap();
+    });
+    (release, stub)
 }
 
 fn start_pair(
@@ -543,4 +634,134 @@ fn drain_stops_admissions_but_reports_stay_fetchable() {
     gateway.shutdown();
     let stats = handle.join();
     assert_eq!(stats.sessions_finished, 1);
+}
+
+#[test]
+fn expect_clients_get_100_before_admission_and_refusals_instead_of_it() {
+    let scene = scene();
+    let jump = SyntheticJump::generate(&scene, &JumpConfig::default(), 97);
+    let request = open_request(&jump, &scene, false);
+    let ref_summary = reference(&jump, &request);
+    let (handle, gateway, hostport) = start_pair("expect", GatewayConfig::default());
+    let body = job_body(&request, &jump.video);
+
+    // Admitted: `100 Continue`, then the body, then `202`.
+    let (continued, admitted) = post_expecting(&hostport, "/v1/jobs", &body);
+    assert!(continued, "an admissible upload is told to continue");
+    assert_eq!(admitted.status, 202);
+    let reply: JobReply =
+        serde_json::from_str(std::str::from_utf8(&admitted.body).unwrap()).unwrap();
+    assert_eq!(fetch_report(&hostport, reply.job), ref_summary.as_bytes());
+
+    // Refused from the headers alone: the final status arrives first
+    // and alone, and the body is never sent.
+    let (continued, wrong) = post_expecting(&hostport, "/v1/nope", &body);
+    assert!(!continued);
+    assert_eq!(wrong.status, 404);
+    gateway.drain();
+    let (continued, drained) = post_expecting(&hostport, "/v1/jobs", &body);
+    assert!(!continued);
+    assert_eq!(drained.status, 503);
+    let metrics = gateway.shutdown();
+    assert_eq!(metrics.counter("gateway_jobs_drained"), 1);
+
+    let (full, full_gateway, full_hostport) = start_pair(
+        "expect-full",
+        GatewayConfig {
+            max_jobs: 0,
+            ..GatewayConfig::default()
+        },
+    );
+    let (continued, shed) = post_expecting(&full_hostport, "/v1/jobs", &body);
+    assert!(!continued);
+    assert_eq!(shed.status, 429);
+    assert!(shed.headers.contains_key("retry-after"));
+    full_gateway.shutdown();
+    full.drain();
+    assert_eq!(full.join().connections, 0);
+
+    handle.drain();
+    assert_eq!(handle.join().sessions_finished, 1);
+}
+
+#[test]
+fn one_long_poll_after_admission_returns_the_report() {
+    let scene = scene();
+    let jump = SyntheticJump::generate(&scene, &JumpConfig::default(), 101);
+    let request = open_request(&jump, &scene, false);
+    let ref_summary = reference(&jump, &request);
+    // The long-poll cap is the read timeout: make it outlast the
+    // analysis on any host.
+    let (handle, gateway, hostport) = start_pair(
+        "longpoll",
+        GatewayConfig {
+            read_timeout: Duration::from_secs(120),
+            ..GatewayConfig::default()
+        },
+    );
+    let job = submit(&hostport, &job_body(&request, &jump.video));
+    let report = get(&hostport, &format!("/v1/jobs/{job}?wait_ms=120000"));
+    assert_eq!(report.status, 200, "no 202 before the report");
+    assert_eq!(String::from_utf8_lossy(&report.body), ref_summary);
+    // A malformed wait is a typed refusal, not a default.
+    assert_eq!(
+        get(&hostport, &format!("/v1/jobs/{job}?wait_ms=soon")).status,
+        400
+    );
+
+    gateway.shutdown();
+    handle.drain();
+    assert_eq!(handle.join().sessions_finished, 1);
+}
+
+#[test]
+fn shutdown_answers_an_outstanding_long_poll_at_once() {
+    let scene = scene();
+    let jump = SyntheticJump::generate(&scene, &JumpConfig::default(), 103);
+    let request = open_request(&jump, &scene, false);
+    let path = uds_path("held");
+    let (release, stub) = held_daemon(&path);
+    let gateway = Gateway::start(
+        &Addr::Tcp("127.0.0.1:0".to_owned()),
+        Addr::Unix(path.clone()),
+        GatewayConfig {
+            read_timeout: Duration::from_secs(600),
+            ..GatewayConfig::default()
+        },
+    )
+    .unwrap();
+    let Addr::Tcp(hostport) = gateway.addr.clone() else {
+        unreachable!()
+    };
+    let mut body = serde_json::to_string(&request).unwrap().into_bytes();
+    body.extend_from_slice(b"\nP6 held by the stand-in");
+    let job = submit(&hostport, &body);
+
+    // A long-poll the job will not answer: the stand-in holds it.
+    let (answered, answer) = channel();
+    let poller = {
+        let hostport = hostport.clone();
+        std::thread::spawn(move || {
+            let _ = answered.send(get(&hostport, &format!("/v1/jobs/{job}?wait_ms=600000")));
+        })
+    };
+    while requests_read(&hostport) < 2 {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let shutdown = std::thread::spawn(move || gateway.shutdown());
+    // Shutdown answers the poll with the job's state now, not when the
+    // job ends or the 600 s cap runs out.
+    let polled = answer
+        .recv_timeout(Duration::from_secs(60))
+        .expect("shutdown left the long-poll waiting");
+    assert_eq!(polled.status, 202);
+    let reply: JobReply = serde_json::from_str(std::str::from_utf8(&polled.body).unwrap()).unwrap();
+    assert_eq!((reply.job, reply.state.as_str()), (job, "running"));
+    poller.join().unwrap();
+
+    release.send(()).unwrap();
+    stub.join().unwrap();
+    let metrics = shutdown.join().unwrap();
+    assert_eq!(metrics.counter("gateway_jobs_done"), 1);
+    let _ = std::fs::remove_file(&path);
 }
